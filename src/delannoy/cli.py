@@ -13,7 +13,7 @@ import json
 import sys
 import time
 from math import factorial
-from typing import Any
+from typing import Any, Iterable
 
 from . import bijections, conjectures, counting, series
 from .errors import ConsistencyError
@@ -21,16 +21,11 @@ from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_path
 
 DEFAULT_BUDGET = 10**7
 
-_COUNT_METHODS = {
-    "delannoy": ("closed", "bruteforce"),
-    "h": ("dp", "closed", "bruteforce"),
-    "b": ("dp", "closed", "bruteforce"),
-    "a": ("dp", "closed", "bruteforce"),
-    "schroeder": ("closed", "bruteforce"),
-    "schroeder-rect": ("closed", "bruteforce"),
+# b-file sequence -> the series coefficients it prints, as (series, k);
+# h-diag is read off the h table instead.
+_BFILE_SEQUENCES = {
+    "h-diag": None, "F1": ("f", 1), "FD2": ("fd", 2), "FE1": ("fe", 1), "FD3": ("fd", 3),
 }
-
-_BFILE_SEQUENCES = ("h-diag", "F1", "FD2", "FE1", "FD3")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,19 +36,35 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _family_size(n: int, m: int, k: int | None) -> int:
-    # a-priori size of the enumeration tree, ignoring pattern constraints
+def _walk_size(n: int, m: int, k: int | None, budget: int) -> int:
+    """Size of the unpruned walk to (n, m): every Delannoy path, or every path
+    in y >= kx when k is set.
+
+    A cheap lower bound that already exceeds ``budget`` is returned in place
+    of the exact count: the North-East paths C(n+m, n), or in the region the
+    k-ballot paths (m-kn+1) C(m+n+1, n) / (m+n+1), written as a difference of
+    binomials.
+    """
     if k is None:
-        return counting.delannoy_count(n, m)
-    return counting.schroeder_rect_count(n, m, k)
+        lower = counting.binomial(n + m, n)
+        return lower if lower > budget else counting.delannoy_count(n, m)
+    lower = counting.binomial(n + m, n) - k * counting.binomial(n + m, n - 1)
+    return lower if lower > budget else counting.schroeder_rect_count(n, m, k)
 
 
-def _guard_budget(estimate: int, budget: int) -> None:
-    if estimate > budget:
-        raise ValueError(
-            f"estimated enumeration size {estimate} exceeds budget {budget}; "
-            "reduce the bounds or raise --budget"
-        )
+def _guard_budget(sizes: Iterable[int], budget: int) -> None:
+    # stops at the first partial sum past the budget
+    total = 0
+    for size in sizes:
+        total += size
+        if total > budget:
+            raise ValueError(
+                f"enumeration size exceeds budget {budget}; reduce the bounds or raise --budget"
+            )
+
+
+def _guard_spec(spec: PathFamilySpec, budget: int) -> None:
+    _guard_budget([_walk_size(*spec.target, spec.region_k, budget)], budget)
 
 
 def _parse_patterns(text: str | None) -> frozenset[str]:
@@ -79,40 +90,12 @@ def _emit(args: argparse.Namespace, parameters: dict, result: Any, lines: list[s
 # ---------- count ----------
 
 
-def _bruteforce_spec(family: str, n: int, m: int, k: int) -> PathFamilySpec:
-    if family == "delannoy":
-        return PathFamilySpec(target=(n, m))
-    if family == "h":
-        return PathFamilySpec(target=(n, m), forbidden=frozenset({"NE", "EN"}))
-    if family == "b":
-        return PathFamilySpec(target=(n, m), forbidden=frozenset({"D", "EENN"}))
-    if family == "a":
-        return PathFamilySpec(target=(n, m), forbidden_aug=frozenset({"D", "EENN"}))
-    if family == "schroeder":
-        return PathFamilySpec(target=(n, k * n), region_k=k)
-    return PathFamilySpec(target=(n, m), region_k=k)  # schroeder-rect
-
-
 def _count_one(family: str, method: str, n: int, m: int, k: int, budget: int) -> int:
     if method == "bruteforce":
-        spec = _bruteforce_spec(family, n, m, k)
-        _guard_budget(_family_size(*spec.target, spec.region_k), budget)
+        spec = counting.family_spec(family, n, m, k)
+        _guard_spec(spec, budget)
         return count_bruteforce(spec)
-    if family == "delannoy":
-        return counting.delannoy_count(n, m)
-    if family == "h":
-        return counting.h_dp(n, m) if method == "dp" else counting.h_closed(n, m)
-    if family == "b":
-        return counting.b_dp(n, m) if method == "dp" else counting.b_closed(n, m)
-    if family == "a":
-        if method == "dp":
-            return counting.a_count(n, m)
-        return counting.b_closed(n, m) - (
-            counting.b_closed(n - 1, m - 1) if n >= 1 and m >= 1 else 0
-        )
-    if family == "schroeder":
-        return counting.schroeder_count(n, k)
-    return counting.schroeder_rect_count(n, m, k)
+    return counting.FAMILIES[family][2][method](n, m, k)
 
 
 def _cmd_count(args: argparse.Namespace, t0: float) -> int:
@@ -125,7 +108,7 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
         if args.m is None:
             raise ValueError(f"family {family} needs both corner coordinates n and m")
         n, m = args.n, args.m
-    methods = _COUNT_METHODS[family]
+    methods = (*counting.FAMILIES[family][2], "bruteforce")
     method = args.method or methods[0]
     if method != "all" and method not in methods:
         raise ValueError(f"method {method} is not available for family {family}")
@@ -160,10 +143,7 @@ def _cmd_enum(args: argparse.Namespace, t0: float) -> int:
         first_step=args.first,
         last_step=args.last,
     )
-    n, m = spec.target
-    if n < 0 or m < 0:
-        raise ValueError(f"target coordinates must be nonnegative, got {spec.target}")
-    _guard_budget(_family_size(n, m, spec.region_k), args.budget)
+    _guard_spec(spec, args.budget)
     words = [path.word for path in enumerate_paths(spec)]
     parameters = {
         "target": list(spec.target),
@@ -180,17 +160,14 @@ def _cmd_enum(args: argparse.Namespace, t0: float) -> int:
 
 # ---------- map ----------
 
-_MAPS = {
-    "pi": bijections.pi_map,
-    "delta": bijections.delta_map,
-    "tau": bijections.tau_map,
-    "tau-inv": bijections.tau_inverse,
-}
+# Map names are looked up on the module when used, so rebinding a map there
+# reaches both map and verify.
+_MAPS = {"pi": "pi_map", "delta": "delta_map", "tau": "tau_map", "tau-inv": "tau_inverse"}
 
 
 def _cmd_map(args: argparse.Namespace, t0: float) -> int:
     path = parse_path(args.word)
-    image = _MAPS[args.name](path)
+    image = getattr(bijections, _MAPS[args.name])(path)
     parameters = {"name": args.name, "word": args.word}
     result = {"word": image.word, "start": list(image.start), "end": list(image.end)}
     _emit(args, parameters, result, [image.word], t0)
@@ -235,38 +212,29 @@ def _cmd_series(args: argparse.Namespace, t0: float) -> int:
 # ---------- verify ----------
 
 
+# map -> (domain family, codomain family, codomain corner shift, family
+# excluded from the domain).
+_VERIFY_CASES = {
+    "pi": ("a", "h", 0, None),
+    "delta": ("h", "a", 0, None),
+    "tau": ("b", "b", 1, "a"),
+}
+
+
 def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
     """Yield (label, domain, mapping, codomain, exclude) for every grid corner."""
-    region = {} if k is None else {"region_k": k}
-    if target in ("pi", "all"):
-        for n in range(max_n + 1):
-            for m in range(max_m + 1):
+    for name, (domain, codomain, shift, exclude) in _VERIFY_CASES.items():
+        if target not in (name, "all"):
+            continue
+        region = None if name == "tau" else k  # tau relates unrestricted families only
+        for n in range(shift, max_n + 1):
+            for m in range(shift, max_m + 1):
                 yield (
-                    f"pi ({n},{m})",
-                    PathFamilySpec(target=(n, m), forbidden_aug=frozenset({"D", "EENN"}), **region),
-                    bijections.pi_map,
-                    PathFamilySpec(target=(n, m), forbidden=frozenset({"NE", "EN"}), **region),
-                    None,
-                )
-    if target in ("delta", "all"):
-        for n in range(max_n + 1):
-            for m in range(max_m + 1):
-                yield (
-                    f"delta ({n},{m})",
-                    PathFamilySpec(target=(n, m), forbidden=frozenset({"NE", "EN"}), **region),
-                    bijections.delta_map,
-                    PathFamilySpec(target=(n, m), forbidden_aug=frozenset({"D", "EENN"}), **region),
-                    None,
-                )
-    if target in ("tau", "all"):
-        for n in range(1, max_n + 1):
-            for m in range(1, max_m + 1):
-                yield (
-                    f"tau ({n},{m})",
-                    PathFamilySpec(target=(n, m), forbidden=frozenset({"D", "EENN"})),
-                    bijections.tau_map,
-                    PathFamilySpec(target=(n - 1, m - 1), forbidden=frozenset({"D", "EENN"})),
-                    PathFamilySpec(target=(n, m), forbidden_aug=frozenset({"D", "EENN"})),
+                    f"{name} ({n},{m})",
+                    counting.family_spec(domain, n, m, region_k=region),
+                    getattr(bijections, _MAPS[name]),
+                    counting.family_spec(codomain, n - shift, m - shift, region_k=region),
+                    counting.family_spec(exclude, n, m) if exclude else None,
                 )
 
 
@@ -276,12 +244,14 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
         raise ValueError("bounds must be nonnegative")
     if args.target == "tau" and args.k is not None:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
-    estimate = 2 * sum(
-        _family_size(n, m, args.k)
-        for n in range(args.max_n + 1)
-        for m in range(max_m + 1)
+    _guard_budget(
+        (
+            2 * _walk_size(n, m, args.k, args.budget)
+            for n in range(args.max_n + 1)
+            for m in range(max_m + 1)
+        ),
+        args.budget,
     )
-    _guard_budget(estimate, args.budget)
 
     rows = []
     failures = []
@@ -328,11 +298,14 @@ def _cmd_conjecture(args: argparse.Namespace, t0: float) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
     k = 1 if args.which == 1 else 2
-    estimate = sum(
-        _family_size(n, k * n, k) + (series.catalan(n + 1) if k == 1 else factorial(n))
-        for n in range(1, args.max_n + 1)
+    _guard_budget(
+        (
+            _walk_size(n, k * n, k, args.budget)
+            + (series.catalan(n + 1) if k == 1 else factorial(n))
+            for n in range(1, args.max_n + 1)
+        ),
+        args.budget,
     )
-    _guard_budget(estimate, args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     lines = [
@@ -355,10 +328,10 @@ def _cmd_conjecture(args: argparse.Namespace, t0: float) -> int:
 
 
 def _bfile_values(sequence: str, order: int) -> list[int]:
-    if sequence == "h-diag":
+    if _BFILE_SEQUENCES[sequence] is None:
         table = counting.h_table(order, order)
         return [table[n, n] for n in range(order + 1)]
-    which, k = {"F1": ("f", 1), "FD2": ("fd", 2), "FE1": ("fe", 1), "FD3": ("fd", 3)}[sequence]
+    which, k = _BFILE_SEQUENCES[sequence]
     triple = series.assemble_triple(k, order)
     return list(getattr(triple, which).coeffs)
 
@@ -391,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")
-    p.add_argument("family", choices=sorted(_COUNT_METHODS))
+    p.add_argument("family", choices=sorted(counting.FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("m", type=int, nargs="?", default=None)
     p.add_argument("--k", type=int, default=1, help="region slope (schroeder families)")

@@ -15,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
+from .counting import family_spec
 from .paths import PathFamilySpec, count_bruteforce, enumerate_paths
 
 
@@ -119,35 +120,33 @@ class ConjectureReport:
         return self.verdict
 
 
+# Conjecture number -> (region slope k, last step of the peak/valley-free
+# paths to (n, kn), partner count at size n).  The partners are looked up when
+# called, so rebinding them on the module reaches the check.
+_CONJECTURES = {
+    1: (1, "E", lambda n: count_catalan_no_symmetric_peak(n + 1)),
+    2: (2, "D", lambda n: count_inversion_102(n)),
+}
+
+
+def _check(which: int, n_max: int) -> ConjectureReport:
+    if n_max < 1:
+        raise ValueError(f"n_max must be positive, got {n_max}")
+    k, last, partner = _CONJECTURES[which]
+    rows = tuple(
+        (n, count_bruteforce(family_spec("h", n, k * n, region_k=k, last_step=last)), partner(n))
+        for n in range(1, n_max + 1)
+    )
+    return ConjectureReport(which=which, n_max=n_max, rows=rows)
+
+
 def check_conjecture1(n_max: int) -> ConjectureReport:
     """Peak/valley-free paths on y >= x to (n, n) ending in E, versus
     symmetric-peak-free Catalan paths of size n + 1, for 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        spec = PathFamilySpec(
-            target=(n, n),
-            forbidden=frozenset({"NE", "EN"}),
-            region_k=1,
-            last_step="E",
-        )
-        rows.append((n, count_bruteforce(spec), count_catalan_no_symmetric_peak(n + 1)))
-    return ConjectureReport(which=1, n_max=n_max, rows=tuple(rows))
+    return _check(1, n_max)
 
 
 def check_conjecture2(n_max: int) -> ConjectureReport:
     """Peak/valley-free paths on y >= 2x to (n, 2n) ending in D, versus
     102-avoiding inversion sequences of length n, for 1 <= n <= n_max."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be positive, got {n_max}")
-    rows = []
-    for n in range(1, n_max + 1):
-        spec = PathFamilySpec(
-            target=(n, 2 * n),
-            forbidden=frozenset({"NE", "EN"}),
-            region_k=2,
-            last_step="D",
-        )
-        rows.append((n, count_bruteforce(spec), count_inversion_102(n)))
-    return ConjectureReport(which=2, n_max=n_max, rows=tuple(rows))
+    return _check(2, n_max)

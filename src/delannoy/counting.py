@@ -15,6 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConsistencyError
+from .paths import PathFamilySpec, _check_corner
 
 
 def binomial(n: int, k: int) -> int:
@@ -33,11 +34,6 @@ def multinomial(top: int, a: int, b: int, c: int) -> int:
     return math.comb(top, a) * math.comb(top - a, b)
 
 
-def _check_corner(n: int, m: int) -> None:
-    if n < 0 or m < 0:
-        raise ValueError(f"corner coordinates must be nonnegative, got ({n}, {m})")
-
-
 def delannoy_count(n: int, m: int) -> int:
     """Number of unrestricted paths origin -> (n, m) over steps N, E, D.
 
@@ -45,8 +41,10 @@ def delannoy_count(n: int, m: int) -> int:
     steps, and the binomial transform); they must agree.
     """
     _check_corner(n, m)
-    by_diagonals = sum(multinomial(n + m - d, n - d, m - d, d) for d in range(n + 1))
-    by_binomials = sum(binomial(n, j) * binomial(m, j) * 2**j for j in range(n + 1))
+    # every term past min(n, m) is zero
+    terms = range(min(n, m) + 1)
+    by_diagonals = sum(multinomial(n + m - d, n - d, m - d, d) for d in terms)
+    by_binomials = sum(binomial(n, j) * binomial(m, j) * 2**j for j in terms)
     if by_diagonals != by_binomials:
         raise ConsistencyError(
             f"delannoy_count({n}, {m}): {by_diagonals} != {by_binomials}"
@@ -116,18 +114,12 @@ def h_dp(n: int, m: int) -> int:
 
 
 def h_closed(n: int, m: int) -> int:
-    """Peak/valley-free path count as an alternating trinomial sum."""
-    _check_corner(n, m)
-    total = 0
-    i = 0
-    while True:
-        t1 = multinomial(n + m - 3 * i, n - 2 * i, m - 2 * i, i)
-        t2 = multinomial(n + m - 2 - 3 * i, n - 1 - 2 * i, m - 1 - 2 * i, i)
-        if t1 == 0 and t2 == 0:
-            break
-        total += (-1) ** i * (t1 - t2)
-        i += 1
-    return total
+    """Peak/valley-free path count as an alternating trinomial sum.
+
+    Its i-th term is the i-th term of b_closed(n, m) minus that of
+    b_closed(n-1, m-1), so it is computed as that difference.
+    """
+    return b_closed(n, m) - (b_closed(n - 1, m - 1) if n >= 1 and m >= 1 else 0)
 
 
 # Suffix automaton for the factor EENN over the alphabet {E, N}: state s is
@@ -209,45 +201,26 @@ def a_count(n: int, m: int) -> int:
     return value
 
 
-def _as_integer(value: Fraction, label: str) -> int:
-    if value.denominator != 1:
-        raise ConsistencyError(f"{label} is not an integer: {value}")
-    return int(value)
-
-
 def schroeder_count(n: int, k: int = 1) -> int:
     """Paths origin -> (n, kn) staying in y >= kx (k-Schroeder paths of size n).
 
-    Two exact forms: a rational multinomial sum over the number of diagonal
-    steps, and for n >= 1 a binomial transform; both must give the same
-    integer.
+    Computed as schroeder_rect_count(n, kn, k): at that corner the weight
+    (m - kn + 1) is 1, and the two cross-checked sums there are term for term
+    the multinomial and binomial-transform forms of this count.
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
     if k < 1:
         raise ValueError(f"slope k must be a positive integer, got {k}")
-    form1 = sum(
-        Fraction(multinomial(k * n + n - d, k * n - d, n - d, d), k * n - d + 1)
-        for d in range(n + 1)
-    )
-    value = _as_integer(form1, f"schroeder_count({n}, k={k})")
-    if n >= 1:
-        form2 = Fraction(
-            sum(binomial(k * n, j - 1) * binomial(n, j) * 2**j for j in range(1, n + 1)),
-            n,
-        )
-        if form1 != form2:
-            raise ConsistencyError(
-                f"schroeder_count({n}, k={k}): {form1} != {form2}"
-            )
-    return value
+    return schroeder_rect_count(n, k * n, k)
 
 
 def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
     """Paths origin -> (n, m) staying in y >= kx; 0 whenever m < kn.
 
-    Same dual-form cross-check as schroeder_count, with the corner weight
-    (m - kn + 1) in both sums.
+    Two exact forms, both carrying the corner weight (m - kn + 1): a
+    rational multinomial sum over the number of diagonal steps, and for
+    n >= 1 a binomial transform; both must give the same integer.
     """
     _check_corner(n, m)
     if k < 1:
@@ -258,7 +231,8 @@ def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
         Fraction((m - k * n + 1) * multinomial(m + n - d, m - d, n - d, d), m - d + 1)
         for d in range(n + 1)
     )
-    value = _as_integer(form1, f"schroeder_rect_count({n}, {m}, k={k})")
+    if form1.denominator != 1:
+        raise ConsistencyError(f"schroeder_rect_count({n}, {m}, k={k}) is not an integer: {form1}")
     if n >= 1:
         form2 = Fraction(
             (m - k * n + 1)
@@ -269,7 +243,7 @@ def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
             raise ConsistencyError(
                 f"schroeder_rect_count({n}, {m}, k={k}): {form1} != {form2}"
             )
-    return value
+    return int(form1)
 
 
 def expand_bivariate(
@@ -284,18 +258,53 @@ def expand_bivariate(
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs: dict[tuple[int, int], int] = {}
-
-    def get(i: int, j: int) -> int:
-        if i < 0 or j < 0:
-            return 0
-        return coeffs[i, j]
-
+    c = CountTable("expansion", coeffs)  # a live view: 0 at negative indices
     for i in range(order + 1):
         for j in range(order + 1):
             coeffs[i, j] = (
                 numerator.get((i, j), 0)
-                + get(i - 1, j)
-                + get(i, j - 1)
-                - get(i - 2, j - 2)
+                + c[i - 1, j]
+                + c[i, j - 1]
+                - c[i - 2, j - 2]
             )
     return coeffs
+
+
+# Every counted family: the fields of its PathFamilySpec beyond the corner,
+# whether its corner lies in the region y >= kx, and its counting routes,
+# default first; brute force over the spec counts every family too.  A route
+# looks its function up when it runs, so rebinding a module attribute (a test
+# mutation, a tracer) reaches every caller.
+FAMILIES: dict[str, tuple[dict, bool, dict]] = {
+    "delannoy": ({}, False, {"closed": lambda n, m, k: delannoy_count(n, m)}),
+    "h": (
+        {"forbidden": {"NE", "EN"}},
+        False,
+        {"dp": lambda n, m, k: h_dp(n, m), "closed": lambda n, m, k: h_closed(n, m)},
+    ),
+    "b": (
+        {"forbidden": {"D", "EENN"}},
+        False,
+        {"dp": lambda n, m, k: b_dp(n, m), "closed": lambda n, m, k: b_closed(n, m)},
+    ),
+    "a": (
+        {"forbidden_aug": {"D", "EENN"}},
+        False,
+        # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form
+        {"dp": lambda n, m, k: a_count(n, m), "closed": lambda n, m, k: h_closed(n, m)},
+    ),
+    "schroeder": ({}, True, {"closed": lambda n, m, k: schroeder_count(n, k)}),
+    "schroeder-rect": ({}, True, {"closed": lambda n, m, k: schroeder_rect_count(n, m, k)}),
+}
+
+
+def family_spec(family: str, n: int, m: int, k: int | None = None, **fields) -> PathFamilySpec:
+    """The spec of ``family`` at corner (n, m).
+
+    A region family takes its slope from ``k``; ``fields`` add further spec
+    fields, such as a region for the other families or a last step.
+    """
+    base, in_region, _ = FAMILIES[family]
+    if in_region:
+        fields["region_k"] = k
+    return PathFamilySpec(target=(n, m), **base, **fields)

@@ -31,8 +31,9 @@ class Step(str, enum.Enum):
 _DISPLACEMENT: dict[str, Point] = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}
 
 # Enumeration emits words in lexicographic order under E < N < D; the order is
-# part of the output contract, so it is fixed here once.
-_STEP_ORDER: tuple[tuple[str, int, int], ...] = (("E", 1, 0), ("N", 0, 1), ("D", 1, 1))
+# part of the output contract, so it is fixed here once.  The walker pushes
+# the steps on a stack, so they are listed largest first.
+_STEPS_REVERSED: tuple[tuple[str, int, int], ...] = (("D", 1, 1), ("N", 0, 1), ("E", 1, 0))
 
 
 def _check_word(text: str) -> None:
@@ -56,11 +57,7 @@ class LatticePath:
 
     @property
     def end(self) -> Point:
-        x, y = self.start
-        for c in self.word:
-            dx, dy = _DISPLACEMENT[c]
-            x, y = x + dx, y + dy
-        return (x, y)
+        return self.vertices()[-1]
 
     def vertices(self) -> list[Point]:
         """All visited points, start first, end last (length |word| + 1)."""
@@ -75,15 +72,12 @@ class LatticePath:
 
 def parse_path(text: str, start: Point = (0, 0)) -> LatticePath:
     """Build a path from a step word; empty text is the empty path."""
-    _check_word(text)  # re-raises with the offending position
-    return LatticePath(start=start, word=text)
+    return LatticePath(start=start, word=text)  # its check names the offending position
 
 
 def contains_pattern(path: LatticePath, pattern: str) -> bool:
     """True iff the pattern word occurs as a factor (consecutive steps)."""
-    if not pattern:
-        raise ValueError("pattern word must be nonempty")
-    _check_word(pattern)
+    _as_patterns((pattern,))
     return pattern in path.word
 
 
@@ -162,26 +156,19 @@ def satisfies(path: LatticePath, spec: PathFamilySpec) -> bool:
     """Membership test for the family described by ``spec``."""
     if path.start != (0, 0) or path.end != spec.target:
         return False
-    w = path.word
-    if any(p in w for p in spec.forbidden):
+    if any(p in path.word for p in spec.forbidden):
         return False
-    if spec.forbidden_aug:
-        aug = "E" + w + "N"
-        if any(p in aug for p in spec.forbidden_aug):
-            return False
     if spec.region_k is not None and not in_region(path, spec.region_k):
         return False
-    if spec.first_step is not None and (not w or w[0] != spec.first_step):
-        return False
-    if spec.last_step is not None and (not w or w[-1] != spec.last_step):
-        return False
-    return True
+    return _final_ok(path.word, spec)
 
 
 def _final_ok(word: str, spec: PathFamilySpec) -> bool:
-    # Path-level patterns and the region were already pruned during the walk;
-    # only completion-time conditions remain.
-    if spec.last_step is not None and (not word or word[-1] != spec.last_step):
+    # The conditions only a whole word decides: the first and last steps and
+    # the augmented-path patterns.
+    if spec.first_step is not None and word[:1] != spec.first_step:
+        return False
+    if spec.last_step is not None and word[-1:] != spec.last_step:
         return False
     if spec.forbidden_aug:
         aug = "E" + word + "N"
@@ -190,33 +177,34 @@ def _final_ok(word: str, spec: PathFamilySpec) -> bool:
     return True
 
 
-def _validated_target(spec: PathFamilySpec) -> Point:
-    n, m = spec.target
+def _check_corner(n: int, m: int) -> None:
     if n < 0 or m < 0:
-        raise ValueError(f"target coordinates must be nonnegative, got {spec.target}")
-    return n, m
+        raise ValueError(f"corner coordinates must be nonnegative, got ({n}, {m})")
 
 
-def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
-    """Yield every path of the family, in lexicographic word order E < N < D.
+def _member_words(spec: PathFamilySpec) -> Iterator[str]:
+    """Yield the words of the family, in lexicographic order E < N < D.
 
-    Depth-first walk over prefixes.  Steps never decrease a coordinate, so a
-    prefix dies as soon as it overshoots the target, leaves the region, or
-    completes a forbidden factor; augmented-path patterns and the last-step
-    filter are only decidable at completion and are checked there.
+    Depth-first walk over prefixes on an explicit stack, so the path length
+    is not bounded by the recursion limit.  Steps never decrease a
+    coordinate, so a prefix dies as soon as it overshoots the target, leaves
+    the region, or completes a forbidden factor, and a prefix that reaches
+    the target is a whole word: the conditions only a whole word decides are
+    checked there.
     """
-    n, m = _validated_target(spec)
+    n, m = spec.target
     pats = tuple(spec.forbidden)
     k = spec.region_k
-
-    def walk(word: str, x: int, y: int) -> Iterator[LatticePath]:
+    first = spec.first_step
+    stack = [("", 0, 0)]
+    while stack:
+        word, x, y = stack.pop()
         if x == n and y == m:
-            # every step is strictly monotone, so the target ends the path
             if _final_ok(word, spec):
-                yield LatticePath(start=(0, 0), word=word)
-            return
-        for c, dx, dy in _STEP_ORDER:
-            if not word and spec.first_step is not None and c != spec.first_step:
+                yield word
+            continue
+        for c, dx, dy in _STEPS_REVERSED:
+            if not word and first is not None and c != first:
                 continue
             x2, y2 = x + dx, y + dy
             if x2 > n or y2 > m:
@@ -226,33 +214,16 @@ def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
             w2 = word + c
             if pats and w2.endswith(pats):
                 continue
-            yield from walk(w2, x2, y2)
+            stack.append((w2, x2, y2))
 
-    return walk("", 0, 0)
+
+def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
+    """Yield every path of the family, in lexicographic word order E < N < D."""
+    _check_corner(*spec.target)
+    return (LatticePath(word=w) for w in _member_words(spec))
 
 
 def count_bruteforce(spec: PathFamilySpec) -> int:
     """Cardinality of enumerate_paths(spec), without materializing the paths."""
-    n, m = _validated_target(spec)
-    pats = tuple(spec.forbidden)
-    k = spec.region_k
-
-    def walk(word: str, x: int, y: int) -> int:
-        if x == n and y == m:
-            return 1 if _final_ok(word, spec) else 0
-        total = 0
-        for c, dx, dy in _STEP_ORDER:
-            if not word and spec.first_step is not None and c != spec.first_step:
-                continue
-            x2, y2 = x + dx, y + dy
-            if x2 > n or y2 > m:
-                continue
-            if k is not None and y2 < k * x2:
-                continue
-            w2 = word + c
-            if pats and w2.endswith(pats):
-                continue
-            total += walk(w2, x2, y2)
-        return total
-
-    return walk("", 0, 0)
+    _check_corner(*spec.target)
+    return sum(1 for _ in _member_words(spec))

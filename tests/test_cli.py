@@ -10,6 +10,7 @@ import delannoy.bijections as bijections_module
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
+from delannoy import schroeder_rect_count
 from delannoy.cli import main
 
 
@@ -116,6 +117,30 @@ def test_enum_errors(capsys):
     assert code == 1 and "budget" in err
     assert run(capsys, "enum", "--target", "2", "2", "--avoid", "NX")[0] == 1
     assert run(capsys, "enum", "--target", "2", "2", "--region", "0")[0] == 1
+
+
+def test_long_walks_have_no_depth_limit(capsys):
+    code, out, _ = run(capsys, "enum", "--target", "0", "1500")
+    assert (code, out) == (0, "N" * 1500 + "\n")
+    code, out, _ = run(capsys, "count", "b", "1500", "0", "--method", "bruteforce")
+    assert (code, out) == (0, "1\n")
+
+
+def test_budget_boundary_is_the_unpruned_walk_size(capsys):
+    # D(8, 8) = 265729 paths to (8, 8)
+    assert run(capsys, "enum", "--target", "8", "8", "--budget", "265729")[0] == 0
+    code, _, err = run(capsys, "enum", "--target", "8", "8", "--budget", "265728")
+    assert code == 1 and "budget" in err
+    size = schroeder_rect_count(3, 6, 2)
+    region = ("enum", "--target", "3", "6", "--region", "2", "--budget")
+    assert run(capsys, *region, str(size))[0] == 0
+    code, _, err = run(capsys, *region, str(size - 1))
+    assert code == 1 and "budget" in err
+
+
+def test_huge_enumeration_is_refused_without_counting_it(capsys):
+    code, _, err = run(capsys, "enum", "--target", "20000", "20000")
+    assert code == 1 and "budget" in err
 
 
 def test_enum_json_round_trips(capsys):

@@ -51,6 +51,10 @@ def test_delannoy_values():
     assert delannoy_count(2, 2) == 13
     assert delannoy_count(3, 3) == 63
     assert all(delannoy_count(n, 0) == 1 for n in range(6))
+    # degenerate corners sum only up to min(n, m): instant even when huge
+    assert delannoy_count(10**5, 0) == 1
+    assert delannoy_count(0, 10**5) == 1
+    assert delannoy_count(10**5, 1) == 2 * 10**5 + 1
     with pytest.raises(ValueError):
         delannoy_count(-1, 2)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy import (
@@ -27,6 +27,7 @@ from conftest import naive_contains, naive_family
 words = st.text(alphabet="NED", max_size=24)
 ne_words = st.text(alphabet="NE", max_size=24)
 patterns = st.text(alphabet="NED", min_size=1, max_size=4)
+steps = st.sampled_from([None, "N", "E", "D"])
 
 
 def test_step_values():
@@ -141,6 +142,8 @@ def test_enumerate_order_is_lexicographic_e_n_d():
 
 def test_enumerate_empty_target():
     assert [p.word for p in enumerate_paths(PathFamilySpec(target=(0, 0)))] == [""]
+    # the empty path has no first step, so a first-step filter excludes it
+    assert list(enumerate_paths(PathFamilySpec(target=(0, 0), first_step="E"))) == []
 
 
 def test_enumerate_negative_target_is_an_error():
@@ -168,6 +171,32 @@ def test_enumerate_matches_naive_generation(n, m):
         assert len(set(got)) == len(got)
         assert set(got) == naive_family(n, m, **kwargs)
         assert count_bruteforce(spec) == len(got)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.frozensets(patterns, max_size=3),
+    st.frozensets(patterns, max_size=2),
+    st.sampled_from([None, 1, 2, 3]),
+    steps,
+    steps,
+)
+def test_walker_matches_naive_family_in_order(n, m, forbidden, forbidden_aug, region_k, first, last):
+    """Random specs: the walk yields exactly the naive family, sorted E < N < D."""
+    kwargs = dict(
+        forbidden=forbidden,
+        forbidden_aug=forbidden_aug,
+        region_k=region_k,
+        first_step=first,
+        last_step=last,
+    )
+    spec = PathFamilySpec(target=(n, m), **kwargs)
+    got = [p.word for p in enumerate_paths(spec)]
+    expected = sorted(naive_family(n, m, **kwargs), key=lambda w: ["END".index(c) for c in w])
+    assert got == expected
+    assert count_bruteforce(spec) == len(got)
 
 
 def test_enumerated_paths_satisfy_their_spec():
