@@ -7,17 +7,17 @@ pinned down by an algebraic fixed-point equation
 
     FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1)
 
-whose right-hand side gains one order of accuracy per substitution, so a
-truncation to order N is exact after N+1 rounds.  Everything is integer
-arithmetic; square roots are never taken (the k=1 radical expression is
-verified through its defining quadratic instead).
+whose right-hand side at x^n reads only lower coefficients of FD.  So FD is
+solved one coefficient per step, the powers of 1 + FD kept by J.C.P. Miller's
+recurrence (Knuth, TAOCP 2, 4.7), then substituted once into the equation as
+the independent check.  Everything is integer arithmetic; square roots are
+never taken (the k=1 radical expression is verified through its quadratic).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable
 
 from .counting import binomial
@@ -134,23 +134,40 @@ class PowerSeries:
         return result
 
 
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; a remainder raises ConsistencyError."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"{what} is not an integer: remainder {rem} mod {den}")
+    return quotient
+
+
+def _miller_next(g: list[int], p: list[int], a: int) -> int:
+    """Next coefficient of P = G^a (g[0] = 1): m p_m = sum_j ((a+1) j - m) g_j p_(m-j)."""
+    m = len(p)
+    total = sum(((a + 1) * j - m) * g[j] * p[m - j] for j in range(1, m + 1))
+    return _exact(total, m, f"coefficient {m} of (1+FD)^{a}")
+
+
 def solve_fd(k: int, order: int) -> PowerSeries:
-    """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact."""
+    """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact.
+
+    Online with G = 1 + FD: [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), O(order^2)
+    for every k; then checked by one substitution with PowerSeries arithmetic.
+    """
     if k < 1:
         raise ValueError(f"slope k must be a positive integer, got {k}")
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    g, p, q = [1], [1], [1]  # G, G^(k+1), G^(2k-1)
+    for n in range(1, order + 1):
+        g.append(p[n - 1] - (q[n - 2] if n > 1 else 0))
+        p.append(_miller_next(g, p, k + 1))
+        q.append(_miller_next(g, q, 2 * k - 1))
+    fd = PowerSeries((0, *g[1:]))
     x = PowerSeries.x(order)
-    x2 = x * x
-
-    def step(fd: PowerSeries) -> PowerSeries:
-        one_fd = 1 + fd
-        return x * one_fd ** (k + 1) - x2 * one_fd ** (2 * k - 1)
-
-    fd = PowerSeries.zero(order)
-    for _ in range(order + 1):
-        fd = step(fd)
-    if step(fd) != fd:
+    one_fd = 1 + fd
+    if x * one_fd ** (k + 1) - x * x * one_fd ** (2 * k - 1) != fd:
         raise ConsistencyError(f"fixed point for k={k} not stable at order {order}")
     return fd
 
@@ -209,27 +226,20 @@ def closed_k1(n: int) -> tuple[int, int, int]:
 
 
 def closed_k2(n: int) -> tuple[int, int]:
-    """Coefficients ([x^n]F, [x^n]FD) for k = 2, by signed rational sums."""
+    """Coefficients ([x^n]F, [x^n]FD) for k = 2, by signed sums of exact quotients."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    f = Fraction(0)
-    for m in range(n + 1):
-        f += (
-            Fraction((-1) ** (n - m), m + 1)
-            * binomial(3 * m + 1, m)
-            * binomial(m + 1, n - m)
-        )
-    fd = Fraction(0)
-    for m in range(1, n + 1):
-        fd += (
-            Fraction((-1) ** (n - m), m)
-            * binomial(3 * m, m - 1)
-            * binomial(m, n - m)
-        )
-    for label, value in (("F", f), ("FD", fd)):
-        if value.denominator != 1:
-            raise ConsistencyError(f"closed_k2({n}) {label} not an integer: {value}")
-    return int(f), int(fd)
+    f = sum(
+        (-1) ** (n - m) * _exact(binomial(3 * m + 1, m), m + 1, f"closed_k2({n}) F term {m}")
+        * binomial(m + 1, n - m)
+        for m in range(n // 2, n + 1)  # smaller m: binomial(m + 1, n - m) = 0
+    )
+    fd = sum(
+        (-1) ** (n - m) * _exact(binomial(3 * m, m - 1), m, f"closed_k2({n}) FD term {m}")
+        * binomial(m, n - m)
+        for m in range(max(1, (n + 1) // 2), n + 1)  # smaller m: binomial(m, n - m) = 0
+    )
+    return f, fd
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ import delannoy.bijections as bijections_module
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
-from delannoy import schroeder_rect_count
+from delannoy import assemble_triple, schroeder_rect_count
 from delannoy.cli import main
 
 
@@ -309,6 +309,13 @@ def test_bfile_series_sequences(capsys):
     assert out.splitlines() == ["0 0", "1 0", "2 1", "3 3", "4 8", "5 22"]
     code, out, _ = run(capsys, "bfile", "FD3", "--order", "3")
     assert out == "0 0\n1 1\n2 3\n3 13\n"
+
+
+def test_bfile_reaches_high_order(capsys):
+    code, out, _ = run(capsys, "bfile", "FD3", "--order", "300")
+    rows = out.splitlines()
+    assert code == 0 and len(rows) == 301
+    assert rows[60] == f"60 {assemble_triple(3, 60).fd[60]}"
 
 
 def test_bfile_usage(capsys):

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import delannoy.series as series_module
 from delannoy import (
     ConsistencyError,
     PowerSeries,
@@ -171,10 +174,55 @@ def test_substitution_identity_for_k2():
 
 
 def test_assemble_rejects_a_non_fixed_point(monkeypatch):
-    import delannoy.series as series_module
-
     x = PowerSeries.x(6)
     corrupted = solve_fd(1, 6) + x**3
     monkeypatch.setattr(series_module, "solve_fd", lambda k, order: corrupted)
     with pytest.raises(ConsistencyError):
         series_module.assemble_triple(1, 6)
+
+
+def _fd_by_full_substitution(k, order):
+    """The N+1-round fixed-point iteration, each round a full substitution."""
+    x = PowerSeries.x(order)
+    fd = PowerSeries.zero(order)
+    for _ in range(order + 1):
+        fd = x * (1 + fd) ** (k + 1) - x * x * (1 + fd) ** (2 * k - 1)
+    return fd
+
+
+@settings(deadline=None)
+@given(st.integers(1, 5), st.integers(0, 25))
+def test_online_solver_matches_full_substitution(k, order):
+    assert solve_fd(k, order) == _fd_by_full_substitution(k, order)
+
+
+def test_high_order_series_match_closed_forms():
+    triple = assemble_triple(1, 300)
+    for n in (100, 200, 300):
+        assert closed_k1(n) == (triple.f[n], triple.fd[n], triple.fe[n]), n
+    triple = assemble_triple(2, 250)
+    for n in (100, 200, 250):
+        assert closed_k2(n) == (triple.f[n], triple.fd[n]), n
+
+
+def test_solve_fd_substitution_check_is_live(monkeypatch):
+    """The solver never calls PowerSeries.__pow__; only its final check does."""
+    honest_pow = PowerSeries.__pow__
+
+    def perturbed_pow(self, exponent):
+        coeffs = list(honest_pow(self, exponent).coeffs)
+        coeffs[3] += 1
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series_module.PowerSeries, "__pow__", perturbed_pow)
+    with pytest.raises(ConsistencyError):
+        solve_fd(2, 8)
+
+
+def test_inexact_divisions_raise(monkeypatch):
+    # (1 + x + x^2)^2 starts 1, 2, 3; a stored prefix 1, 1 is not that power
+    with pytest.raises(ConsistencyError):
+        series_module._miller_next([1, 1, 1], [1, 1], 2)
+    monkeypatch.setattr(series_module, "binomial", lambda n, k: 1)
+    with pytest.raises(ConsistencyError):
+        closed_k2(4)
