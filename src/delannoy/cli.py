@@ -3,7 +3,8 @@
 Subcommands: count, enum, map, series, verify, conjecture, bfile.
 Exit codes: 0 success, 1 usage or precondition error, 2 internal cross-check
 mismatch (two routes that must agree disagreed).  JSON output is a single
-record with fixed key order (command, parameters, result, elapsed_seconds).
+record with fixed key order (command, parameters, result); it holds no
+timing, so the same command prints the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from math import factorial
 from typing import Any, Iterable
 
@@ -73,14 +73,9 @@ def _parse_patterns(text: str | None) -> frozenset[str]:
     return frozenset(part for part in text.split(",") if part)
 
 
-def _emit(args: argparse.Namespace, parameters: dict, result: Any, lines: list[str], t0: float) -> None:
+def _emit(args: argparse.Namespace, parameters: dict, result: Any, lines: list[str]) -> None:
     if getattr(args, "format", "text") == "json":
-        record = {
-            "command": args.command,
-            "parameters": parameters,
-            "result": result,
-            "elapsed_seconds": round(time.perf_counter() - t0, 6),
-        }
+        record = {"command": args.command, "parameters": parameters, "result": result}
         print(json.dumps(record, indent=2))
     else:
         for line in lines:
@@ -98,7 +93,7 @@ def _count_one(family: str, method: str, n: int, m: int, k: int, budget: int) ->
     return counting.FAMILIES[family][2][method](n, m, k)
 
 
-def _cmd_count(args: argparse.Namespace, t0: float) -> int:
+def _cmd_count(args: argparse.Namespace) -> int:
     family = args.family
     if family == "schroeder":
         if args.m is not None:
@@ -127,14 +122,14 @@ def _cmd_count(args: argparse.Namespace, t0: float) -> int:
         lines = [str(value)]
 
     parameters = {"family": family, "n": args.n, "m": args.m, "k": args.k, "method": method}
-    _emit(args, parameters, result, lines, t0)
+    _emit(args, parameters, result, lines)
     return 0
 
 
 # ---------- enum ----------
 
 
-def _cmd_enum(args: argparse.Namespace, t0: float) -> int:
+def _cmd_enum(args: argparse.Namespace) -> int:
     spec = PathFamilySpec(
         target=tuple(args.target),
         forbidden=_parse_patterns(args.avoid),
@@ -154,7 +149,7 @@ def _cmd_enum(args: argparse.Namespace, t0: float) -> int:
         "last": spec.last_step,
     }
     result = {"count": len(words), "words": words}
-    _emit(args, parameters, result, words, t0)
+    _emit(args, parameters, result, words)
     return 0
 
 
@@ -165,19 +160,19 @@ def _cmd_enum(args: argparse.Namespace, t0: float) -> int:
 _MAPS = {"pi": "pi_map", "delta": "delta_map", "tau": "tau_map", "tau-inv": "tau_inverse"}
 
 
-def _cmd_map(args: argparse.Namespace, t0: float) -> int:
+def _cmd_map(args: argparse.Namespace) -> int:
     path = parse_path(args.word)
     image = getattr(bijections, _MAPS[args.name])(path)
     parameters = {"name": args.name, "word": args.word}
     result = {"word": image.word, "start": list(image.start), "end": list(image.end)}
-    _emit(args, parameters, result, [image.word], t0)
+    _emit(args, parameters, result, [image.word])
     return 0
 
 
 # ---------- series ----------
 
 
-def _cmd_series(args: argparse.Namespace, t0: float) -> int:
+def _cmd_series(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
     if args.check_closed and args.k >= 3:
@@ -205,7 +200,7 @@ def _cmd_series(args: argparse.Namespace, t0: float) -> int:
         lines = [" ".join(str(c) for c in coeffs[args.which])]
     parameters = {"which": args.which, "k": args.k, "order": args.order, "check_closed": bool(args.check_closed)}
     result = {"coefficients": coeffs, "checked_against_closed_form": bool(args.check_closed)}
-    _emit(args, parameters, result, lines, t0)
+    _emit(args, parameters, result, lines)
     return 0
 
 
@@ -238,7 +233,7 @@ def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
                 )
 
 
-def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     max_m = args.max_n if args.max_m is None else args.max_m
     if args.max_n < 0 or max_m < 0:
         raise ValueError("bounds must be nonnegative")
@@ -287,23 +282,20 @@ def _cmd_verify(args: argparse.Namespace, t0: float) -> int:
         "max_m": max_m,
         "k": args.k,
     }
-    _emit(args, parameters, {"cases": rows, "ok": True}, lines, t0)
+    _emit(args, parameters, {"cases": rows, "ok": True}, lines)
     return 0
 
 
 # ---------- conjecture ----------
 
 
-def _cmd_conjecture(args: argparse.Namespace, t0: float) -> int:
+def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    k = 1 if args.which == 1 else 2
+    # the path side is one polynomial DP; only the partner enumerates
     _guard_budget(
-        (
-            _walk_size(n, k * n, k, args.budget)
-            + (series.catalan(n + 1) if k == 1 else factorial(n))
-            for n in range(1, args.max_n + 1)
-        ),
+        (series.catalan(n + 1) if args.which == 1 else factorial(n)
+         for n in range(1, args.max_n + 1)),
         args.budget,
     )
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
@@ -318,7 +310,7 @@ def _cmd_conjecture(args: argparse.Namespace, t0: float) -> int:
         "rows": [{"n": n, "paths": lhs, "partner": rhs} for n, lhs, rhs in report.rows],
         "verdict": report.verdict,
     }
-    _emit(args, parameters, result, lines, t0)
+    _emit(args, parameters, result, lines)
     if not report.verdict:
         raise ConsistencyError(f"conjecture {args.which} counts disagree: {report.rows}")
     return 0
@@ -336,7 +328,7 @@ def _bfile_values(sequence: str, order: int) -> list[int]:
     return list(getattr(triple, which).coeffs)
 
 
-def _cmd_bfile(args: argparse.Namespace, t0: float) -> int:
+def _cmd_bfile(args: argparse.Namespace) -> int:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
     values = _bfile_values(args.sequence, args.order)
@@ -432,9 +424,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    t0 = time.perf_counter()
     try:
-        return args.handler(args, t0)
+        return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,8 +15,10 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
-from .counting import family_spec
-from .paths import PathFamilySpec, count_bruteforce, enumerate_paths
+from .counting import family_spec, spec_counts
+# count_bruteforce stays bound here: perfbench's tracer rebinds
+# conjectures.count_bruteforce.
+from .paths import PathFamilySpec, count_bruteforce, enumerate_paths  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -133,10 +135,9 @@ def _check(which: int, n_max: int) -> ConjectureReport:
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     k, last, partner = _CONJECTURES[which]
-    rows = tuple(
-        (n, count_bruteforce(family_spec("h", n, k * n, region_k=k, last_step=last)), partner(n))
-        for n in range(1, n_max + 1)
-    )
+    # one table holds the path count at every corner (n, kn) up to n_max
+    paths = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
+    rows = tuple((n, paths[n, k * n], partner(n)) for n in range(1, n_max + 1))
     return ConjectureReport(which=which, n_max=n_max, rows=rows)
 
 

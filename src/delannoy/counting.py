@@ -1,10 +1,10 @@
 """Exact counting of Delannoy-path families.
 
 Three independent routes are kept deliberately separate so they can check one
-another: closed-form sums, transfer-matrix style dynamic programs over small
-step automata, and (in the test suite) brute-force enumeration.  Region
-(k-Schroeder) counts use exact rational arithmetic with integrality asserted;
-no floats anywhere.
+another: closed-form sums, one transfer-matrix dynamic program compiled from
+a family's spec (``spec_counts``), and (in the test suite) brute-force
+enumeration.  Region (k-Schroeder) counts use exact rational arithmetic with
+integrality asserted; no floats anywhere.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConsistencyError
-from .paths import PathFamilySpec, _check_corner
+from .paths import _DISPLACEMENT, PathFamilySpec, _check_corner
 
 
 def binomial(n: int, k: int) -> int:
@@ -66,50 +66,94 @@ class CountTable:
         return self.values[n, m]
 
 
-# Last-step automaton for the peak/valley-free family: a peak is the factor
-# NE and a valley is EN, so N may not follow E and E may not follow N.
-# States: 0 = at the origin, 1 = last step N, 2 = last step E, 3 = last step D.
-_H_ALLOWED_PREDECESSORS = {
-    "N": (0, 1, 3),  # N after N or D, never after E
-    "E": (0, 2, 3),  # E after E or D, never after N
-    "D": (0, 1, 2, 3),
-}
+def _matcher(patterns: frozenset[str]):
+    """The Aho-Corasick automaton of ``patterns`` as a transition function.
+
+    A state is the longest suffix of the word read that is a proper prefix of
+    a pattern; a step that completes a pattern has no successor (None).
+    """
+    prefixes = {p[:i] for p in patterns for i in range(len(p))} | {""}
+    ends = tuple(patterns)
+
+    def step(state: str, c: str) -> str | None:
+        word = state + c  # every occurrence ending at this step is a suffix of word
+        if word.endswith(ends):
+            return None
+        return next(word[i:] for i in range(len(word) + 1) if word[i:] in prefixes)
+
+    return step
+
+
+def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
+    """The family's size at every corner (x, y) <= spec.target, as if it were
+    the target, by a transfer-matrix DP (Stanley, EC1 4.7) compiled from spec.
+
+    A state is a reachable triple: the matcher states of ``forbidden`` and of
+    ``forbidden_aug`` (after the augmented path's leading E), and the last
+    step when ``last_step`` is set.  The region prunes cells, ``first_step``
+    the moves out of the empty word; an accepted state matches ``last_step``
+    and survives the augmented path's closing N.  One column of state vectors
+    is kept at a time.
+    """
+    n, m = spec.target
+    _check_corner(n, m)
+    fwd, aug = _matcher(spec.forbidden), _matcher(spec.forbidden_aug)
+    # under a first-step filter the empty word has a state of its own (last step "")
+    start = ("", aug("", "E"), "" if spec.first_step else None)
+    index = {start: 0} if start[1] is not None else {}
+    moves: dict[str, list[tuple[int, int]]] = {c: [] for c in _DISPLACEMENT}
+    todo = list(index)
+    while todo:
+        state = todo.pop()
+        for c in spec.first_step if state[2] == "" else "END":
+            succ = (fwd(state[0], c), aug(state[1], c), c if spec.last_step else None)
+            if succ[0] is None or succ[1] is None:
+                continue
+            if succ not in index:
+                index[succ] = len(index)
+                todo.append(succ)
+            moves[c].append((index[state], index[succ]))
+    accept = [i for (_, s2, last), i in index.items()
+              if last == spec.last_step and aug(s2, "N") is not None]
+    k = spec.region_k
+    counts: dict[tuple[int, int], int] = {}
+    left: list[list[int]] = []  # column x - 1
+    for x in range(n + 1):
+        column: list[list[int]] = []
+        for y in range(m + 1):
+            v = [0] * len(index)
+            if (x, y) == (0, 0) and index:
+                v[0] = 1
+            elif k is None or y >= k * x:
+                for c, (dx, dy) in _DISPLACEMENT.items():
+                    if x >= dx and y >= dy:
+                        source = (left if dx else column)[y - dy]
+                        for s, t in moves[c]:
+                            v[t] += source[s]
+            column.append(v)
+            counts[x, y] = sum(v[i] for i in accept)
+        left = column
+    return counts
+
+
+def _check_three_term(table: CountTable, nmax: int, mmax: int, lo: int) -> None:
+    """Cross-check t(x,y) = t(x-1,y) + t(x,y-1) - t(x-2,y-2) on x, y >= lo, off the origin."""
+    for x in range(lo, nmax + 1):
+        for y in range(lo, mmax + 1):
+            expect = table[x - 1, y] + table[x, y - 1] - table[x - 2, y - 2]
+            if (x or y) and table[x, y] != expect:
+                raise ConsistencyError(f"{table.kind} recurrence failed at ({x}, {y})")
 
 
 def h_table(nmax: int, mmax: int) -> CountTable:
     """Counts of paths avoiding the factors NE and EN, for all corners in range."""
-    _check_corner(nmax, mmax)
-    ways: dict[tuple[int, int], list[int]] = {}
-    totals: dict[tuple[int, int], int] = {}
-    for x in range(nmax + 1):
-        for y in range(mmax + 1):
-            state = [0, 0, 0, 0]
-            if x == 0 and y == 0:
-                state[0] = 1
-            if y > 0:
-                prev = ways[x, y - 1]
-                state[1] = sum(prev[s] for s in _H_ALLOWED_PREDECESSORS["N"])
-            if x > 0:
-                prev = ways[x - 1, y]
-                state[2] = sum(prev[s] for s in _H_ALLOWED_PREDECESSORS["E"])
-            if x > 0 and y > 0:
-                prev = ways[x - 1, y - 1]
-                state[3] = sum(prev[s] for s in _H_ALLOWED_PREDECESSORS["D"])
-            ways[x, y] = state
-            totals[x, y] = sum(state)
-    table = CountTable("h", totals)
-    # The three-term recurrence h(n,m) = h(n-1,m) + h(n,m-1) - h(n-2,m-2)
-    # holds only from (2,2) on; cross-check the table against it.
-    for x in range(2, nmax + 1):
-        for y in range(2, mmax + 1):
-            expect = table[x - 1, y] + table[x, y - 1] - table[x - 2, y - 2]
-            if table[x, y] != expect:
-                raise ConsistencyError(f"h recurrence failed at ({x}, {y})")
+    table = CountTable("h", spec_counts(family_spec("h", nmax, mmax)))
+    _check_three_term(table, nmax, mmax, 2)  # the recurrence holds only from (2,2) on
     return table
 
 
 def h_dp(n: int, m: int) -> int:
-    """Peak/valley-free path count by the last-step automaton."""
+    """Peak/valley-free path count by the DP compiled from the family's spec."""
     return h_table(n, m)[n, m]
 
 
@@ -122,53 +166,15 @@ def h_closed(n: int, m: int) -> int:
     return b_closed(n, m) - (b_closed(n - 1, m - 1) if n >= 1 and m >= 1 else 0)
 
 
-# Suffix automaton for the factor EENN over the alphabet {E, N}: state s is
-# the length of the longest suffix that is a prefix of EENN; reaching 4 is a
-# match and the word is dead.
-_B_NEXT = {
-    (0, "E"): 1, (0, "N"): 0,
-    (1, "E"): 2, (1, "N"): 0,
-    (2, "E"): 2, (2, "N"): 3,
-    (3, "E"): 1, (3, "N"): 4,
-}
-
-
 def b_table(nmax: int, mmax: int) -> CountTable:
     """Counts of North-East words (no D step) avoiding the factor EENN."""
-    _check_corner(nmax, mmax)
-    ways: dict[tuple[int, int], list[int]] = {}
-    totals: dict[tuple[int, int], int] = {}
-    for x in range(nmax + 1):
-        for y in range(mmax + 1):
-            state = [0, 0, 0, 0]
-            if x == 0 and y == 0:
-                state[0] = 1
-            if x > 0:
-                for s, count in enumerate(ways[x - 1, y]):
-                    t = _B_NEXT[s, "E"]
-                    if t < 4:
-                        state[t] += count
-            if y > 0:
-                for s, count in enumerate(ways[x, y - 1]):
-                    t = _B_NEXT[s, "N"]
-                    if t < 4:
-                        state[t] += count
-            ways[x, y] = state
-            totals[x, y] = sum(state)
-    table = CountTable("b", totals)
-    # Same three-term recurrence as for h, but valid everywhere off the origin.
-    for x in range(nmax + 1):
-        for y in range(mmax + 1):
-            if x == 0 and y == 0:
-                continue
-            expect = table[x - 1, y] + table[x, y - 1] - table[x - 2, y - 2]
-            if table[x, y] != expect:
-                raise ConsistencyError(f"b recurrence failed at ({x}, {y})")
+    table = CountTable("b", spec_counts(family_spec("b", nmax, mmax)))
+    _check_three_term(table, nmax, mmax, 0)  # as for h, but everywhere off the origin
     return table
 
 
 def b_dp(n: int, m: int) -> int:
-    """EENN-avoiding North-East word count by the suffix automaton."""
+    """EENN-avoiding North-East word count by the DP compiled from the family's spec."""
     return b_table(n, m)[n, m]
 
 

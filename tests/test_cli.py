@@ -153,7 +153,7 @@ def test_enum_json_round_trips(capsys):
     assert record["result"]["words"] == ["EN", "NE", "D"]
     assert record["result"]["count"] == 3
     assert out == json.dumps(record, indent=2) + "\n"
-    assert list(record) == ["command", "parameters", "result", "elapsed_seconds"]
+    assert list(record) == ["command", "parameters", "result"]
 
 
 # ---------- map ----------
@@ -286,6 +286,14 @@ def test_conjecture_mutation(capsys, monkeypatch):
     assert code == 2 and "disagree" in err
 
 
+def test_conjecture_budget_counts_only_the_partner(capsys):
+    # the path side is a polynomial DP; conjecture 2's partner walks n! sequences
+    code, out, _ = run(capsys, "conjecture", "2", "--max-n", "10")
+    assert code == 0 and out.endswith("agree\n")
+    code, _, err = run(capsys, "conjecture", "2", "--max-n", "11")
+    assert code == 1 and "budget" in err
+
+
 def test_conjecture_usage(capsys):
     assert run(capsys, "conjecture", "3")[0] == 1
     assert run(capsys, "conjecture", "1", "--max-n", "0")[0] == 1
@@ -339,7 +347,5 @@ def test_help_exits_zero(capsys):
 def test_json_key_order_is_stable(capsys):
     code, out1, _ = run(capsys, "count", "h", "3", "3", "--format", "json")
     code, out2, _ = run(capsys, "count", "h", "3", "3", "--format", "json")
-    r1, r2 = json.loads(out1), json.loads(out2)
-    del r1["elapsed_seconds"], r2["elapsed_seconds"]
-    assert r1 == r2
+    assert out1 == out2
     assert out1.index('"command"') < out1.index('"parameters"') < out1.index('"result"')

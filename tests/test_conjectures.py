@@ -99,6 +99,15 @@ def test_conjecture2_report():
         check_conjecture2(0)
 
 
+def test_conjecture_path_sides_match_the_series():
+    """The path columns, read off one DP table, against the series routes."""
+    for check, k, which in ((check_conjecture2, 2, "fd"), (check_conjecture1, 1, "fe")):
+        report = check(10)
+        assert report.verdict
+        series = getattr(assemble_triple(k, 10), which)
+        assert [lhs for _, lhs, _ in report.rows] == [series[n] for n in range(1, 11)]
+
+
 def test_corner_families_coincide():
     """On the corner (n, kn) inside y >= kx, the EENN-avoiding North-East
     paths are exactly those whose augmented path also avoids EENN: region

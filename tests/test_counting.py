@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from delannoy import (
     CountTable,
@@ -24,8 +27,11 @@ from delannoy import (
     schroeder_count,
     schroeder_rect_count,
 )
+from delannoy.counting import _check_three_term, spec_counts
+from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
+from test_paths import patterns, steps
 
 
 def test_binomial_summation_convention():
@@ -95,6 +101,9 @@ def test_h_recurrence_range():
     lhs = table[1, 1]
     rhs = table[0, 1] + table[1, 0] - table[-1, -1]
     assert (lhs, rhs) == (1, 2)
+    # the table's own cross-check, started one row early, stops there
+    with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(1, 1\)"):
+        _check_three_term(table, 12, 12, 1)
 
 
 def test_b_values():
@@ -211,3 +220,35 @@ def test_expand_bivariate_edges():
     assert expand_bivariate({(0, 0): 5}, 0) == {(0, 0): 5}
     with pytest.raises(ValueError):
         expand_bivariate({(0, 0): 1}, -1)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 5),
+    st.frozensets(patterns, max_size=3),
+    st.frozensets(patterns, max_size=2),
+    st.sampled_from([None, 1, 2, 3]),
+    steps,
+    steps,
+)
+# an augmented pattern E or N kills every path, the empty one included
+@example(2, 2, frozenset(), frozenset({"E"}), None, None, None)
+@example(2, 2, frozenset(), frozenset({"N", "DD"}), None, None, None)
+# a first or last step filter excludes the empty path at (0, 0)
+@example(0, 0, frozenset(), frozenset(), None, "E", None)
+@example(0, 0, frozenset(), frozenset(), None, None, "N")
+def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, first, last):
+    """Random specs: the compiled DP's count at every corner equals the walk's."""
+    spec = PathFamilySpec(
+        target=(n, m),
+        forbidden=forbidden,
+        forbidden_aug=forbidden_aug,
+        region_k=region_k,
+        first_step=first,
+        last_step=last,
+    )
+    counts = spec_counts(spec)
+    assert set(counts) == {(x, y) for x in range(n + 1) for y in range(m + 1)}
+    for (x, y), value in counts.items():
+        assert value == count_bruteforce(dataclasses.replace(spec, target=(x, y))), (x, y)
