@@ -59,7 +59,7 @@ def _guard_budget(sizes: Iterable[int], budget: int) -> None:
         total += size
         if total > budget:
             raise ValueError(
-                f"enumeration size exceeds budget {budget}; reduce the bounds or raise --budget"
+                f"size exceeds budget {budget}; reduce the bounds or raise --budget"
             )
 
 
@@ -108,21 +108,18 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method != "all" and method not in methods:
         raise ValueError(f"method {method} is not available for family {family}")
 
+    routes = methods if method == "all" else (method,)
+    values = {name: _count_one(family, name, n, m, args.k, args.budget) for name in routes}
+    distinct = set(values.values())
+    if len(distinct) != 1:
+        raise ConsistencyError(f"count {family} ({n}, {m}): methods disagree: {values}")
+    value = distinct.pop()
+    lines = [str(value)]
     if method == "all":
-        values = {name: _count_one(family, name, n, m, args.k, args.budget) for name in methods}
-        distinct = set(values.values())
-        if len(distinct) != 1:
-            raise ConsistencyError(f"count {family} ({n}, {m}): methods disagree: {values}")
-        value = distinct.pop()
-        result: Any = {"value": value, "methods": values}
-        lines = [str(value)] + [f"  {name}: {v}" for name, v in values.items()]
-    else:
-        value = _count_one(family, method, n, m, args.k, args.budget)
-        result = {"value": value, "methods": {method: value}}
-        lines = [str(value)]
+        lines += [f"  {name}: {v}" for name, v in values.items()]
 
     parameters = {"family": family, "n": args.n, "m": args.m, "k": args.k, "method": method}
-    _emit(args, parameters, result, lines)
+    _emit(args, parameters, {"value": value, "methods": values}, lines)
     return 0
 
 
@@ -292,10 +289,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    # the path side is one polynomial DP; only the partner enumerates
+    # The path side is one polynomial DP.  Conjecture 1's partner is a DP too:
+    # (n+2)^2 cells times at most (n+2)^2 matcher states bound its work.
+    # Conjecture 2's partner walks up to n! inversion sequences.
     _guard_budget(
-        (series.catalan(n + 1) if args.which == 1 else factorial(n)
-         for n in range(1, args.max_n + 1)),
+        ((n + 2) ** 4 if args.which == 1 else factorial(n) for n in range(1, args.max_n + 1)),
         args.budget,
     )
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2

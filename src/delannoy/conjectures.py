@@ -7,6 +7,9 @@ Two open correspondences are tested numerically:
    peak (a peak whose maximal N-run and E-run have equal length);
 2. peak/valley-free paths on y >= 2x ending at (n, 2n) with a diagonal step,
    versus inversion sequences of length n with no (strict) 102 pattern.
+
+Both path sides and conjecture 1's partner are spec counts (``spec_counts``),
+polynomial in n; conjecture 2's partner is an exponential depth-first search.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .counting import family_spec, spec_counts
-# count_bruteforce stays bound here: perfbench's tracer rebinds
-# conjectures.count_bruteforce.
+# enumerate_paths and count_bruteforce stay bound here, unused: perfbench's
+# tracer rebinds both names on this module.
 from .paths import PathFamilySpec, count_bruteforce, enumerate_paths  # noqa: F401
 
 
@@ -84,26 +87,18 @@ def count_inversion_102(n: int) -> int:
     return extend(0, n)  # thresholds never exceed n-1, so n acts as infinity
 
 
-def _has_symmetric_peak(word: str) -> bool:
-    for p in range(len(word) - 1):
-        if word[p] == "N" and word[p + 1] == "E":
-            i = p
-            while i > 0 and word[i - 1] == "N":
-                i -= 1
-            j = p + 1
-            while j + 1 < len(word) and word[j + 1] == "E":
-                j += 1
-            if (p - i) == (j - p - 1):  # N-run length == E-run length
-                return True
-    return False
-
-
 def count_catalan_no_symmetric_peak(n: int) -> int:
-    """North-East paths to (n, n) weakly above y = x with no symmetric peak."""
+    """North-East paths to (n, n) weakly above y = x with no symmetric peak.
+
+    With D forbidden, a maximal N-run of length j then a maximal E-run of
+    length j is the factor E N^j E^j N of the augmented path, whose leading E
+    and closing N end the runs at the path's two ends; no run exceeds n.
+    """
     if n < 1:
         raise ValueError(f"size must be positive, got {n}")
-    spec = PathFamilySpec(target=(n, n), forbidden=frozenset({"D"}), region_k=1)
-    return sum(1 for path in enumerate_paths(spec) if not _has_symmetric_peak(path.word))
+    peaks = {"E" + "N" * j + "E" * j + "N" for j in range(1, n + 1)}
+    spec = PathFamilySpec(target=(n, n), forbidden={"D"}, forbidden_aug=peaks, region_k=1)
+    return spec_counts(spec)[n, n]
 
 
 @dataclass(frozen=True)

@@ -3,15 +3,14 @@
 Three independent routes are kept deliberately separate so they can check one
 another: closed-form sums, one transfer-matrix dynamic program compiled from
 a family's spec (``spec_counts``), and (in the test suite) brute-force
-enumeration.  Region (k-Schroeder) counts use exact rational arithmetic with
-integrality asserted; no floats anywhere.
+enumeration.  Every division is a checked integer division (``_exact``); no
+floats or fractions anywhere.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import ConsistencyError
@@ -23,6 +22,14 @@ def binomial(n: int, k: int) -> int:
     if n < 0 or k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+def _exact(num: int, den: int, what: str) -> int:
+    """num / den, which must be an integer; a remainder raises ConsistencyError."""
+    quotient, rem = divmod(num, den)
+    if rem:
+        raise ConsistencyError(f"{what} is not an integer: remainder {rem} mod {den}")
+    return quotient
 
 
 def multinomial(top: int, a: int, b: int, c: int) -> int:
@@ -224,32 +231,27 @@ def schroeder_count(n: int, k: int = 1) -> int:
 def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
     """Paths origin -> (n, m) staying in y >= kx; 0 whenever m < kn.
 
-    Two exact forms, both carrying the corner weight (m - kn + 1): a
-    rational multinomial sum over the number of diagonal steps, and for
-    n >= 1 a binomial transform; both must give the same integer.
+    Two exact forms, both carrying the corner weight w = m - kn + 1: a sum
+    over the number d of diagonal steps, whose term d (the paths with d
+    diagonal steps) is an exact quotient, and for n >= 1 a binomial
+    transform; both must give the same integer.
     """
     _check_corner(n, m)
     if k < 1:
         raise ValueError(f"slope k must be a positive integer, got {k}")
     if m < k * n:
         return 0
+    w, what = m - k * n + 1, f"schroeder_rect_count({n}, {m}, k={k})"
     form1 = sum(
-        Fraction((m - k * n + 1) * multinomial(m + n - d, m - d, n - d, d), m - d + 1)
+        _exact(w * multinomial(m + n - d, m - d, n - d, d), m - d + 1, f"{what} term {d}")
         for d in range(n + 1)
     )
-    if form1.denominator != 1:
-        raise ConsistencyError(f"schroeder_rect_count({n}, {m}, k={k}) is not an integer: {form1}")
     if n >= 1:
-        form2 = Fraction(
-            (m - k * n + 1)
-            * sum(binomial(m, j - 1) * binomial(n, j) * 2**j for j in range(1, n + 1)),
-            n,
-        )
+        transform = sum(binomial(m, j - 1) * binomial(n, j) * 2**j for j in range(1, n + 1))
+        form2 = _exact(w * transform, n, f"{what} form 2")
         if form1 != form2:
-            raise ConsistencyError(
-                f"schroeder_rect_count({n}, {m}, k={k}): {form1} != {form2}"
-            )
-    return int(form1)
+            raise ConsistencyError(f"{what}: {form1} != {form2}")
+    return form1
 
 
 def expand_bivariate(

@@ -108,6 +108,8 @@ def in_region(path: LatticePath, k: int) -> bool:
 
 
 def _as_patterns(patterns: Iterable[str]) -> frozenset[str]:
+    if isinstance(patterns, str):  # its letters would each become a pattern
+        raise ValueError(f"patterns must be a collection of words, not the string {patterns!r}")
     out = frozenset(str(p) for p in patterns)
     for p in out:
         if not p:
@@ -143,7 +145,10 @@ class PathFamilySpec:
     last_step: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "target", (int(self.target[0]), int(self.target[1])))
+        x, y = self.target
+        if int(x) != x or int(y) != y:
+            raise ValueError(f"corner coordinates must be integers, got {self.target}")
+        object.__setattr__(self, "target", (int(x), int(y)))
         object.__setattr__(self, "forbidden", _as_patterns(self.forbidden))
         object.__setattr__(self, "forbidden_aug", _as_patterns(self.forbidden_aug))
         if self.region_k is not None and self.region_k < 1:

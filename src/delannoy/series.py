@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .counting import binomial
+from .counting import _exact, binomial
 from .errors import ConsistencyError
 
 
@@ -132,14 +132,6 @@ class PowerSeries:
         for c in reversed(self.coeffs[: n + 1]):
             result = result * trimmed + c
         return result
-
-
-def _exact(num: int, den: int, what: str) -> int:
-    """num / den, which must be an integer; a remainder raises ConsistencyError."""
-    quotient, rem = divmod(num, den)
-    if rem:
-        raise ConsistencyError(f"{what} is not an integer: remainder {rem} mod {den}")
-    return quotient
 
 
 def _miller_next(g: list[int], p: list[int], a: int) -> int:

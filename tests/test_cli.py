@@ -292,6 +292,12 @@ def test_conjecture_budget_counts_only_the_partner(capsys):
     assert code == 0 and out.endswith("agree\n")
     code, _, err = run(capsys, "conjecture", "2", "--max-n", "11")
     assert code == 1 and "budget" in err
+    # conjecture 1's partner is a DP charged (n+2)^4 per size: past the budget from 33 on
+    code, out, _ = run(capsys, "conjecture", "1", "--max-n", "32")
+    assert code == 0 and out.endswith("agree\n")
+    for max_n in ("33", "10000"):
+        code, _, err = run(capsys, "conjecture", "1", "--max-n", max_n)
+        assert code == 1 and "budget" in err
 
 
 def test_conjecture_usage(capsys):

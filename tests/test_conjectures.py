@@ -3,6 +3,8 @@ equinumerosity harnesses."""
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from delannoy import (
@@ -14,6 +16,7 @@ from delannoy import (
     count_bruteforce,
     count_catalan_no_symmetric_peak,
     count_inversion_102,
+    enumerate_paths,
     inversion_sequences,
 )
 
@@ -79,6 +82,31 @@ def test_catalan_no_symmetric_peak_matches_fe1_shifted():
         assert count_catalan_no_symmetric_peak(size) == triple.fe[size - 1]
 
 
+def _partner_spec(size):
+    return PathFamilySpec(
+        target=(size, size),
+        forbidden={"D"},
+        region_k=1,
+        forbidden_aug={"E" + "N" * j + "E" * j + "N" for j in range(1, size + 1)},
+    )
+
+
+def _has_symmetric_peak(word):
+    """A maximal N-run followed by a maximal E-run of the same length."""
+    runs = [(c, len(list(group))) for c, group in itertools.groupby(word)]
+    return any(a[0] == "N" and b == ("E", a[1]) for a, b in zip(runs, runs[1:]))
+
+
+def test_partner_spec_is_the_run_length_scan():
+    """The augmented-pattern spec keeps exactly the Catalan words that the
+    run-length scan keeps, in the same order, and the partner counts them."""
+    for size in range(1, 11):
+        catalan = PathFamilySpec(target=(size, size), forbidden={"D"}, region_k=1)
+        scanned = [p.word for p in enumerate_paths(catalan) if not _has_symmetric_peak(p.word)]
+        assert [p.word for p in enumerate_paths(_partner_spec(size))] == scanned, size
+        assert count_catalan_no_symmetric_peak(size) == len(scanned), size
+
+
 def test_conjecture1_report():
     report = check_conjecture1(7)
     assert report.verdict
@@ -100,12 +128,12 @@ def test_conjecture2_report():
 
 
 def test_conjecture_path_sides_match_the_series():
-    """The path columns, read off one DP table, against the series routes."""
-    for check, k, which in ((check_conjecture2, 2, "fd"), (check_conjecture1, 1, "fe")):
-        report = check(10)
+    """Both columns (the path side read off one DP table) against the series routes."""
+    for check, k, which, n_max in ((check_conjecture2, 2, "fd", 10), (check_conjecture1, 1, "fe", 30)):
+        report = check(n_max)
         assert report.verdict
-        series = getattr(assemble_triple(k, 10), which)
-        assert [lhs for _, lhs, _ in report.rows] == [series[n] for n in range(1, 11)]
+        series = getattr(assemble_triple(k, n_max), which)
+        assert report.rows == tuple((n, series[n], series[n]) for n in range(1, n_max + 1))
 
 
 def test_corner_families_coincide():

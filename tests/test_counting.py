@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delannoy.counting as counting_module
 from delannoy import (
     CountTable,
     PathFamilySpec,
@@ -19,6 +20,7 @@ from delannoy import (
     binomial,
     count_bruteforce,
     delannoy_count,
+    enumerate_paths,
     expand_bivariate,
     h_closed,
     h_dp,
@@ -28,6 +30,7 @@ from delannoy import (
     schroeder_rect_count,
 )
 from delannoy.counting import _check_three_term, spec_counts
+from delannoy.errors import ConsistencyError
 from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
@@ -189,6 +192,33 @@ def test_schroeder_rect_matches_bruteforce_small():
             for m in range(9):
                 spec = PathFamilySpec(target=(n, m), region_k=k)
                 assert schroeder_rect_count(n, m, k) == count_bruteforce(spec), (n, m, k)
+
+
+def test_schroeder_rect_terms_count_paths_by_diagonal_steps():
+    # the d-th term of the multinomial form, each an exact quotient
+    for k in (1, 2, 3):
+        for n in range(5):
+            for m in range(k * n, k * n + 5):
+                by_d = [0] * (n + 1)
+                for path in enumerate_paths(PathFamilySpec(target=(n, m), region_k=k)):
+                    by_d[path.word.count("D")] += 1
+                for d in range(n + 1):
+                    term = (m - k * n + 1) * multinomial(m + n - d, m - d, n - d, d)
+                    assert term == by_d[d] * (m - d + 1), (n, m, k, d)
+
+
+@pytest.mark.parametrize("shift", [1, 3])
+def test_schroeder_rect_perturbed_term_raises(monkeypatch, shift):
+    # term d = 1 at (3, 3) is 30 / 3: +1 leaves a remainder, +3 makes the forms disagree
+    exact = counting_module.multinomial
+
+    def perturbed(top, a, b, c):
+        return exact(top, a, b, c) + (shift if (top, a, b, c) == (5, 2, 2, 1) else 0)
+
+    assert schroeder_rect_count(3, 3, 1) == 22
+    monkeypatch.setattr(counting_module, "multinomial", perturbed)
+    with pytest.raises(ConsistencyError):
+        schroeder_rect_count(3, 3, 1)
 
 
 def test_count_table_conventions():

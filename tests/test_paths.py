@@ -128,6 +128,17 @@ def test_spec_validation():
         PathFamilySpec(target=(1, 1), region_k=0)
     with pytest.raises(ValueError):
         PathFamilySpec(target=(1, 1), first_step="X")
+    # a bare string would be read as its letters: "NE" would forbid N and E
+    with pytest.raises(ValueError, match="collection"):
+        PathFamilySpec(target=(2, 2), forbidden="NE")
+    with pytest.raises(ValueError, match="collection"):
+        PathFamilySpec(target=(2, 2), forbidden_aug="EENN")
+    # a corner is never truncated to an integer
+    with pytest.raises(ValueError, match="integers"):
+        PathFamilySpec(target=(2.7, 1))
+    with pytest.raises(ValueError, match="integers"):
+        PathFamilySpec(target=(2, 0.5))
+    assert PathFamilySpec(target=(2.0, 1)).target == (2, 1)
 
 
 def test_enumerate_order_is_lexicographic_e_n_d():
