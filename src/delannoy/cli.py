@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help="refuse enumerations whose estimated size exceeds this (default 10^7)",
+            help="refuse enumerations and conjecture checks estimated above this (default 10^7)",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")
@@ -417,6 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # exact counts outgrow Python's default 4300-digit limit on int -> str (3.11+)
+    getattr(sys, "set_int_max_str_digits", lambda _: None)(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -4,7 +4,9 @@ Three independent routes are kept deliberately separate so they can check one
 another: closed-form sums, one transfer-matrix dynamic program compiled from
 a family's spec (``spec_counts``), and (in the test suite) brute-force
 enumeration.  Every division is a checked integer division (``_exact``); no
-floats or fractions anywhere.
+floats or fractions anywhere.  A closed-form sum computes one binomial for
+its first term and steps to each next term by the exact term ratio
+(``_term_walk``), so every step is a checked division.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ConsistencyError
-from .paths import _DISPLACEMENT, PathFamilySpec, _check_corner
+from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner
 
 
 def binomial(n: int, k: int) -> int:
@@ -41,6 +43,16 @@ def multinomial(top: int, a: int, b: int, c: int) -> int:
     return math.comb(top, a) * math.comb(top - a, b)
 
 
+def _term_walk(first: int, last: int, ratio, what: str) -> int:
+    """t_0 + ... + t_last: t_0 = first, t_(i+1) = t_i * num / den, (num, den) = ratio(i)."""
+    total = term = first
+    for i in range(last):
+        num, den = ratio(i)
+        term = _exact(term * num, den, f"{what} term {i + 1}")
+        total += term
+    return total
+
+
 def delannoy_count(n: int, m: int) -> int:
     """Number of unrestricted paths origin -> (n, m) over steps N, E, D.
 
@@ -48,14 +60,14 @@ def delannoy_count(n: int, m: int) -> int:
     steps, and the binomial transform); they must agree.
     """
     _check_corner(n, m)
-    # every term past min(n, m) is zero
-    terms = range(min(n, m) + 1)
-    by_diagonals = sum(multinomial(n + m - d, n - d, m - d, d) for d in terms)
-    by_binomials = sum(binomial(n, j) * binomial(m, j) * 2**j for j in terms)
+    # terms multinomial(n+m-d; n-d, m-d, d) and C(n, j) C(m, j) 2^j, zero past min(n, m)
+    last, what = min(n, m), f"delannoy_count({n}, {m})"
+    by_diagonals = _term_walk(math.comb(n + m, n), last, lambda d: (
+        (n - d) * (m - d), (n + m - d) * (d + 1)), f"{what} by diagonals")
+    by_binomials = _term_walk(
+        1, last, lambda j: (2 * (n - j) * (m - j), (j + 1) ** 2), f"{what} by binomials")
     if by_diagonals != by_binomials:
-        raise ConsistencyError(
-            f"delannoy_count({n}, {m}): {by_diagonals} != {by_binomials}"
-        )
+        raise ConsistencyError(f"{what}: {by_diagonals} != {by_binomials}")
     return by_diagonals
 
 
@@ -188,15 +200,12 @@ def b_dp(n: int, m: int) -> int:
 def b_closed(n: int, m: int) -> int:
     """EENN-avoiding North-East word count as an alternating trinomial sum."""
     _check_corner(n, m)
-    total = 0
-    i = 0
-    while True:
-        t = multinomial(n + m - 3 * i, n - 2 * i, m - 2 * i, i)
-        if t == 0:
-            break
-        total += (-1) ** i * t
-        i += 1
-    return total
+
+    def ratio(i: int) -> tuple[int, int]:  # term i: (-1)^i multinomial(n+m-3i; n-2i, m-2i, i)
+        a, b, c = n - 2 * i, m - 2 * i, n + m - 3 * i
+        return -a * (a - 1) * b * (b - 1), c * (c - 1) * (c - 2) * (i + 1)
+
+    return _term_walk(math.comb(n + m, n), min(n, m) // 2, ratio, f"b_closed({n}, {m})")
 
 
 def a_count(n: int, m: int) -> int:
@@ -223,8 +232,7 @@ def schroeder_count(n: int, k: int = 1) -> int:
     """
     if n < 0:
         raise ValueError(f"size must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"slope k must be a positive integer, got {k}")
+    k = _as_slope(k)
     return schroeder_rect_count(n, k * n, k)
 
 
@@ -237,17 +245,18 @@ def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
     transform; both must give the same integer.
     """
     _check_corner(n, m)
-    if k < 1:
-        raise ValueError(f"slope k must be a positive integer, got {k}")
+    k = _as_slope(k)
     if m < k * n:
         return 0
     w, what = m - k * n + 1, f"schroeder_rect_count({n}, {m}, k={k})"
-    form1 = sum(
-        _exact(w * multinomial(m + n - d, m - d, n - d, d), m - d + 1, f"{what} term {d}")
-        for d in range(n + 1)
-    )
+    # term d = w multinomial(m+n-d; m-d, n-d, d) / (m-d+1), from w C(m+n, n) / (m+1)
+    first = _exact(w * math.comb(m + n, n), m + 1, f"{what} form 1 term 0")
+    form1 = _term_walk(first, n, lambda d: (
+        (n - d) * (m - d + 1), (m + n - d) * (d + 1)), f"{what} form 1")
     if n >= 1:
-        transform = sum(binomial(m, j - 1) * binomial(n, j) * 2**j for j in range(1, n + 1))
+        # term i = C(m, i) C(n, i+1) 2^(i+1) for i < n
+        transform = _term_walk(2 * n, n - 1, lambda i: (
+            2 * (m - i) * (n - i - 1), (i + 1) * (i + 2)), f"{what} form 2")
         form2 = _exact(w * transform, n, f"{what} form 2")
         if form1 != form2:
             raise ConsistencyError(f"{what}: {form1} != {form2}")

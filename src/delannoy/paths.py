@@ -102,9 +102,15 @@ def diminish(path: LatticePath) -> LatticePath:
 
 def in_region(path: LatticePath, k: int) -> bool:
     """True iff every vertex (x, y) of the path satisfies y >= k*x."""
-    if k < 1:
-        raise ValueError("region slope k must be a positive integer")
+    k = _as_slope(k)
     return all(y >= k * x for x, y in path.vertices())
+
+
+def _as_slope(k) -> int:
+    # a bool or a fraction is refused; an integral float such as 2.0 becomes 2
+    if isinstance(k, bool) or int(k) != k or k < 1:
+        raise ValueError(f"slope k must be a positive integer, got {k!r}")
+    return int(k)
 
 
 def _as_patterns(patterns: Iterable[str]) -> frozenset[str]:
@@ -151,8 +157,8 @@ class PathFamilySpec:
         object.__setattr__(self, "target", (int(x), int(y)))
         object.__setattr__(self, "forbidden", _as_patterns(self.forbidden))
         object.__setattr__(self, "forbidden_aug", _as_patterns(self.forbidden_aug))
-        if self.region_k is not None and self.region_k < 1:
-            raise ValueError("region slope k must be a positive integer")
+        if self.region_k is not None:
+            object.__setattr__(self, "region_k", _as_slope(self.region_k))
         object.__setattr__(self, "first_step", _as_step(self.first_step))
         object.__setattr__(self, "last_step", _as_step(self.last_step))
 

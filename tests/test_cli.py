@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 
 import pytest
 
@@ -53,6 +54,27 @@ def test_count_schroeder(capsys):
     assert (code, out.splitlines()[0]) == (0, "4")
     code, out, _ = run(capsys, "count", "schroeder-rect", "3", "2", "--k", "1", "--method", "all")
     assert (code, out.splitlines()[0]) == (0, "0")
+
+
+@pytest.fixture
+def default_int_str_limit():
+    """Python's default 4300-digit limit on int <-> str (3.11+), which main lifts."""
+    if not hasattr(sys, "set_int_max_str_digits"):  # 3.10 has no limit
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_count_prints_a_count_past_4300_digits(capsys, default_int_str_limit):
+    code, out, _ = run(capsys, "count", "schroeder", "5000", "--k", "2", "--format", "json")
+    assert code == 0
+    value = json.loads(out)["result"]["value"]
+    assert value == counting_module.schroeder_count(5000, 2) and len(str(value)) > 4300
 
 
 def test_count_usage_errors(capsys):

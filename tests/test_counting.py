@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -30,7 +31,6 @@ from delannoy import (
     schroeder_rect_count,
 )
 from delannoy.counting import _check_three_term, spec_counts
-from delannoy.errors import ConsistencyError
 from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
@@ -207,18 +207,91 @@ def test_schroeder_rect_terms_count_paths_by_diagonal_steps():
                     assert term == by_d[d] * (m - d + 1), (n, m, k, d)
 
 
-@pytest.mark.parametrize("shift", [1, 3])
-def test_schroeder_rect_perturbed_term_raises(monkeypatch, shift):
-    # term d = 1 at (3, 3) is 30 / 3: +1 leaves a remainder, +3 makes the forms disagree
-    exact = counting_module.multinomial
+def _perturb_step(monkeypatch, label, shift):
+    """Add shift to the term that the checked division labelled ``label`` returns."""
+    exact = counting_module._exact
 
-    def perturbed(top, a, b, c):
-        return exact(top, a, b, c) + (shift if (top, a, b, c) == (5, 2, 2, 1) else 0)
+    def perturbed(num, den, what):
+        return exact(num, den, what) + (shift if what == label else 0)
 
+    monkeypatch.setattr(counting_module, "_exact", perturbed)
+
+
+@pytest.mark.parametrize(
+    "shift,error", [(1, "form 1 term 2 is not an integer"), (10, "39 != 22")], ids=["1", "10"]
+)
+def test_schroeder_rect_perturbed_term_raises(monkeypatch, shift, error):
+    # form 1 at (3, 3) walks 5, 10, 6, 1 with the step 10 -> 10 * 6 / 10: 11 leaves a
+    # remainder there; 20 divides exactly to the end (20, 12, 2), but form 1 sums to 39
     assert schroeder_rect_count(3, 3, 1) == 22
-    monkeypatch.setattr(counting_module, "multinomial", perturbed)
-    with pytest.raises(ConsistencyError):
+    _perturb_step(monkeypatch, "schroeder_rect_count(3, 3, k=1) form 1 term 1", shift)
+    with pytest.raises(ConsistencyError, match=error):
         schroeder_rect_count(3, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "walk,shift,error",
+    [
+        ("by diagonals", 1, "by diagonals term 2 is not an integer"),
+        ("by diagonals", 30, "106 != 63"),
+        ("by binomials", 1, "by binomials term 3 is not an integer"),
+    ],
+    ids=["diagonals-remainder", "diagonals-mismatch", "binomials-remainder"],
+)
+def test_delannoy_perturbed_step_raises(monkeypatch, walk, shift, error):
+    # by diagonals at (3, 3) walks 20, 30, 12, 1; 60 divides exactly to the end (24, 2);
+    # by binomials walks 1, 18, 36, 8, and 19 goes through 38 to 38 * 2 / 9
+    assert delannoy_count(3, 3) == 63
+    _perturb_step(monkeypatch, f"delannoy_count(3, 3) {walk} term 1", shift)
+    with pytest.raises(ConsistencyError, match=error):
+        delannoy_count(3, 3)
+
+
+# Oracles for the term walks: every term from fresh binomials, as the sums are written.
+def _delannoy_by_terms(n, m):
+    return sum(
+        math.comb(n + m - d, d) * math.comb(n + m - 2 * d, n - d) for d in range(min(n, m) + 1)
+    )
+
+
+def _b_by_terms(n, m):
+    return sum(
+        (-1) ** i * math.comb(n + m - 3 * i, i) * math.comb(n + m - 4 * i, n - 2 * i)
+        for i in range(min(n, m) // 2 + 1)
+    )
+
+
+def _schroeder_rect_by_terms(n, m, k):
+    if m < k * n:
+        return 0
+    total = 0
+    for d in range(n + 1):
+        term, rem = divmod(
+            (m - k * n + 1) * math.comb(m + n - d, d) * math.comb(m + n - 2 * d, n - d), m - d + 1
+        )
+        assert rem == 0, (n, m, k, d)
+        total += term
+    return total
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 60), st.integers(0, 60), st.integers(1, 4))
+@example(0, 0, 1)
+@example(7, 0, 1)
+@example(0, 9, 2)
+@example(10, 29, 3)  # m < kn
+@example(10, 30, 3)  # m = kn
+@example(15, 60, 4)
+def test_term_walks_match_fresh_binomial_sums(n, m, k):
+    assert delannoy_count(n, m) == _delannoy_by_terms(n, m)
+    assert b_closed(n, m) == _b_by_terms(n, m)
+    assert schroeder_rect_count(n, m, k) == _schroeder_rect_by_terms(n, m, k)
+
+
+def test_term_walks_match_fresh_binomial_sums_at_large_corners():
+    assert delannoy_count(1490, 1490) == _delannoy_by_terms(1490, 1490)
+    for k in (1, 2, 3):
+        assert schroeder_count(1000, k) == _schroeder_rect_by_terms(1000, 1000 * k, k)
 
 
 def test_count_table_conventions():

@@ -20,6 +20,8 @@ from delannoy import (
     in_region,
     parse_path,
     satisfies,
+    schroeder_count,
+    schroeder_rect_count,
 )
 
 from conftest import naive_contains, naive_family
@@ -139,6 +141,18 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="integers"):
         PathFamilySpec(target=(2, 0.5))
     assert PathFamilySpec(target=(2.0, 1)).target == (2, 1)
+    # the slope follows the corner's rule: no bool, no fraction; 2.0 is 2
+    for bad in (1.5, True, 0):
+        with pytest.raises(ValueError, match="slope"):
+            PathFamilySpec(target=(2, 3), region_k=bad)
+        with pytest.raises(ValueError, match="slope"):
+            schroeder_count(2, bad)
+        with pytest.raises(ValueError, match="slope"):
+            schroeder_rect_count(2, 3, bad)
+    k = PathFamilySpec(target=(2, 4), region_k=2.0).region_k
+    assert (k, type(k)) == (2, int)
+    assert schroeder_count(3, 2.0) == schroeder_count(3, 2) == 66
+    assert schroeder_rect_count(2, 5, 2.0) == schroeder_rect_count(2, 5, 2)
 
 
 def test_enumerate_order_is_lexicographic_e_n_d():
