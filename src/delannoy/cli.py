@@ -95,10 +95,13 @@ def _count_one(family: str, method: str, n: int, m: int, k: int, budget: int) ->
 
 def _cmd_count(args: argparse.Namespace) -> int:
     family = args.family
+    if args.k is not None and not counting.FAMILIES[family][1]:
+        raise ValueError(f"family {family} has no region; --k applies to schroeder and schroeder-rect")
+    k = 1 if args.k is None else args.k
     if family == "schroeder":
         if args.m is not None:
             raise ValueError("family schroeder takes a single size n (its corner is (n, k*n))")
-        n, m = args.n, args.k * args.n
+        n, m = args.n, k * args.n
     else:
         if args.m is None:
             raise ValueError(f"family {family} needs both corner coordinates n and m")
@@ -109,7 +112,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         raise ValueError(f"method {method} is not available for family {family}")
 
     routes = methods if method == "all" else (method,)
-    values = {name: _count_one(family, name, n, m, args.k, args.budget) for name in routes}
+    values = {name: _count_one(family, name, n, m, k, args.budget) for name in routes}
     distinct = set(values.values())
     if len(distinct) != 1:
         raise ConsistencyError(f"count {family} ({n}, {m}): methods disagree: {values}")
@@ -118,7 +121,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     if method == "all":
         lines += [f"  {name}: {v}" for name, v in values.items()]
 
-    parameters = {"family": family, "n": args.n, "m": args.m, "k": args.k, "method": method}
+    parameters = {"family": family, "n": args.n, "m": args.m, "k": k, "method": method}
     _emit(args, parameters, {"value": value, "methods": values}, lines)
     return 0
 
@@ -170,8 +173,6 @@ def _cmd_map(args: argparse.Namespace) -> int:
 
 
 def _cmd_series(args: argparse.Namespace) -> int:
-    if args.order < 0:
-        raise ValueError(f"order must be nonnegative, got {args.order}")
     if args.check_closed and args.k >= 3:
         raise ValueError(f"no closed form is available for k = {args.k}")
     triple = series.assemble_triple(args.k, args.order)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("family", choices=sorted(counting.FAMILIES))
     p.add_argument("n", type=int)
     p.add_argument("m", type=int, nargs="?", default=None)
-    p.add_argument("--k", type=int, default=1, help="region slope (schroeder families)")
+    p.add_argument("--k", type=int, default=None, help="region slope (schroeder families)")
     p.add_argument("--method", choices=["dp", "closed", "bruteforce", "all"], default=None)
     add_budget(p)
     add_format(p)

@@ -16,12 +16,11 @@ never taken (the k=1 radical expression is verified through its quadratic).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterable
 
 from .counting import _exact, binomial
 from .errors import ConsistencyError
+from .paths import _as_slope
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,6 @@ class PowerSeries:
         if not self.coeffs:
             raise ValueError("a truncated series stores at least the constant term")
         object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[int]) -> "PowerSeries":
-        return cls(tuple(coeffs))
 
     @classmethod
     def constant(cls, value: int, order: int) -> "PowerSeries":
@@ -145,10 +140,10 @@ def solve_fd(k: int, order: int) -> PowerSeries:
     """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact.
 
     Online with G = 1 + FD: [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), O(order^2)
-    for every k; then checked by one substitution with PowerSeries arithmetic.
+    for every k; then checked by one substitution with PowerSeries arithmetic,
+    in the factored form FD = x G^(k-1) (G^2 - x G^k).
     """
-    if k < 1:
-        raise ValueError(f"slope k must be a positive integer, got {k}")
+    k = _as_slope(k)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     g, p, q = [1], [1], [1]  # G, G^(k+1), G^(2k-1)
@@ -159,7 +154,8 @@ def solve_fd(k: int, order: int) -> PowerSeries:
     fd = PowerSeries((0, *g[1:]))
     x = PowerSeries.x(order)
     one_fd = 1 + fd
-    if x * one_fd ** (k + 1) - x * x * one_fd ** (2 * k - 1) != fd:
+    low = one_fd ** (k - 1)
+    if x * low * (one_fd * one_fd - x * (low * one_fd)) != fd:
         raise ConsistencyError(f"fixed point for k={k} not stable at order {order}")
     return fd
 
@@ -182,14 +178,17 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     and the cross-checks FD = x F (1 + FD)^(k-1), FE = x (F - 1)(1 + FD)^k,
     F = 1 + FD + FE must all hold to the truncation order.
     """
+    k = _as_slope(k)
     fd = solve_fd(k, order)
     x = PowerSeries.x(order)
     one_fd = 1 + fd
-    f = one_fd**2 - x * one_fd**k
-    fe = one_fd * fd - x * one_fd**k
+    low = one_fd ** (k - 1)
+    x_high = x * (low * one_fd)  # x (1+FD)^k
+    f = one_fd * one_fd - x_high
+    fe = one_fd * fd - x_high
     checks = (
-        ("FD = x F (1+FD)^(k-1)", fd, x * f * one_fd ** (k - 1)),
-        ("FE = x (F-1) (1+FD)^k", fe, x * (f - 1) * one_fd**k),
+        ("FD = x F (1+FD)^(k-1)", fd, x * f * low),
+        ("FE = x (F-1) (1+FD)^k", fe, (f - 1) * x_high),
         ("F = 1 + FD + FE", f, 1 + fd + fe),
     )
     for label, left, right in checks:
@@ -204,7 +203,7 @@ def catalan(n: int) -> int:
     """The n-th Catalan number C(2n, n) / (n + 1)."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    return math.comb(2 * n, n) // (n + 1)
+    return _exact(binomial(2 * n, n), n + 1, f"catalan({n})")
 
 
 def closed_k1(n: int) -> tuple[int, int, int]:

@@ -86,6 +86,17 @@ def test_count_usage_errors(capsys):
     assert run(capsys, "count", "delannoy", "2", "2", "--method", "dp")[0] == 1
 
 
+@pytest.mark.parametrize("family", ["delannoy", "h", "b", "a"])
+def test_count_refuses_a_slope_without_a_region(capsys, family):
+    # h in y >= 2x at (4, 8) is 44 (assemble_triple(2, 4).f[4]); unrestricted it is 180
+    code, out, err = run(capsys, "count", family, "4", "8", "--k", "2")
+    assert (code, out) == (1, "")
+    assert "schroeder and schroeder-rect" in err
+    assert run(capsys, "count", family, "4", "8", "--k", "1")[0] == 1
+    code, out, _ = run(capsys, "count", family, "4", "8", "--format", "json")
+    assert code == 0 and json.loads(out)["parameters"]["k"] == 1
+
+
 def test_count_mutation_trips_cross_check(capsys, monkeypatch):
     monkeypatch.setattr(counting_module, "h_closed", lambda n, m: 999)
     code, _, err = run(capsys, "count", "h", "2", "2", "--method", "all")

@@ -106,6 +106,11 @@ def test_solve_fd_validation():
         solve_fd(0, 5)
     with pytest.raises(ValueError):
         solve_fd(1, -1)
+    for k in (True, 1.5):  # the slope follows paths.PathFamilySpec's rule
+        with pytest.raises(ValueError, match="slope k"):
+            solve_fd(k, 5)
+    assert solve_fd(2.0, 5) == solve_fd(2, 5)
+    assert assemble_triple(2.0, 5).k == 2
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -173,12 +178,33 @@ def test_substitution_identity_for_k2():
     assert substituted == assemble_triple(2, order).fd
 
 
-def test_assemble_rejects_a_non_fixed_point(monkeypatch):
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_assemble_rejects_a_non_fixed_point(monkeypatch, k):
     x = PowerSeries.x(6)
-    corrupted = solve_fd(1, 6) + x**3
+    corrupted = solve_fd(k, 6) + x**3
     monkeypatch.setattr(series_module, "solve_fd", lambda k, order: corrupted)
-    with pytest.raises(ConsistencyError):
-        series_module.assemble_triple(1, 6)
+    with pytest.raises(ConsistencyError, match=r"FD = x F \(1\+FD\)\^\(k-1\)"):
+        series_module.assemble_triple(k, 6)
+
+
+@pytest.mark.parametrize("k,solve_at_most,assemble_at_most", [(3, 7, 18), (5, 9, 22)])
+def test_checks_take_each_power_once(monkeypatch, k, solve_at_most, assemble_at_most):
+    """The checks take each power of 1 + FD once: k + 4 products in solve_fd,
+    2k + 10 in assemble_triple, which calls it (one ** per use took 3k + 3
+    and 7k + 11)."""
+    honest_mul = PowerSeries.__mul__
+    calls = []
+
+    def counted_mul(self, other):
+        calls.append(1)
+        return honest_mul(self, other)
+
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
+    solve_fd(k, 40)
+    assert len(calls) <= solve_at_most
+    calls.clear()
+    assemble_triple(k, 40)
+    assert len(calls) <= assemble_at_most
 
 
 def _fd_by_full_substitution(k, order):
