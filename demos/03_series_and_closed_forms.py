@@ -1,8 +1,9 @@
 """Generating functions for region-restricted peak- and valley-free paths.
 
-The diagonal-ending series FD satisfies a polynomial fixed-point equation;
-everything else (the full series F, the E-ending series FE) assembles from
-it.  Closed-form coefficient sums and a radical identity give two more
+The diagonal-ending series FD is solved from a polynomial fixed-point
+equation and checked by substituting it back once.  That check's factor is
+the full series F, and the E-ending series FE is F - (1 + FD).  Brute-force
+path counts, closed-form coefficient sums and a radical identity are
 independent routes to the same numbers.
 """
 
@@ -39,7 +40,7 @@ fd = solve_fd(1, 10)
 print(f"FD for k=1 to order 10: {fd.coeffs}")
 print()
 
-# Closed-form sums of integers, every quotient a checked exact division.
+# Closed-form sums walked term to term, every step a checked exact division.
 print("closed forms vs series, k=1 (F, FD, FE) and k=2 (F, FD):")
 t1 = assemble_triple(1, 8)
 t2 = assemble_triple(2, 8)

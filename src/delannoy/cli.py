@@ -177,13 +177,10 @@ def _cmd_series(args: argparse.Namespace) -> int:
         raise ValueError(f"no closed form is available for k = {args.k}")
     triple = series.assemble_triple(args.k, args.order)
     if args.check_closed:
+        closed = series.closed_k1 if args.k == 1 else series.closed_k2  # k = 2 has no FE form
         for i in range(args.order + 1):
-            if args.k == 1:
-                expected = series.closed_k1(i)
-                got = (triple.f[i], triple.fd[i], triple.fe[i])
-            else:
-                expected = series.closed_k2(i)
-                got = (triple.f[i], triple.fd[i])
+            expected = closed(i)
+            got = (triple.f[i], triple.fd[i], triple.fe[i])[: len(expected)]
             if expected != got:
                 raise ConsistencyError(
                     f"closed form mismatch for k={args.k} at x^{i}: "

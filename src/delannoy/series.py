@@ -8,17 +8,18 @@ pinned down by an algebraic fixed-point equation
     FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1)
 
 whose right-hand side at x^n reads only lower coefficients of FD.  So FD is
-solved one coefficient per step, the powers of 1 + FD kept by J.C.P. Miller's
-recurrence (Knuth, TAOCP 2, 4.7), then substituted once into the equation as
-the independent check.  Everything is integer arithmetic; square roots are
-never taken (the k=1 radical expression is verified through its quadratic).
+solved one coefficient per step, the powers of G = 1 + FD kept by J.C.P.
+Miller's recurrence (Knuth, TAOCP 2, 4.7), then substituted once into the
+equation as the independent check, factored as FD = x G^(k-1) F: its factor
+F = G^2 - x G^k is the full series, and FE = F - G.  Everything is integer
+arithmetic; square roots are never taken.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .counting import _exact, binomial
+from .counting import _exact, _term_walk, binomial
 from .errors import ConsistencyError
 from .paths import _as_slope
 
@@ -136,12 +137,21 @@ def _miller_next(g: list[int], p: list[int], a: int) -> int:
     return _exact(total, m, f"coefficient {m} of (1+FD)^{a}")
 
 
-def solve_fd(k: int, order: int) -> PowerSeries:
-    """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact.
+@dataclass(frozen=True)
+class SeriesTriple:
+    """F, FD, FE for one slope k: all paths / ending with D / ending with E."""
 
-    Online with G = 1 + FD: [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), O(order^2)
-    for every k; then checked by one substitution with PowerSeries arithmetic,
-    in the factored form FD = x G^(k-1) (G^2 - x G^k).
+    k: int
+    f: PowerSeries
+    fd: PowerSeries
+    fe: PowerSeries
+
+
+def assemble_triple(k: int, order: int) -> SeriesTriple:
+    """(F, FD, FE): FD solved online, checked once, and F and FE read off the check.
+
+    [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1) with G = 1 + FD, O(order^2) for
+    every k; the check FD = x G^(k-1) F forms F = G^2 - x G^k, and FE = G FD - x G^k = F - G.
     """
     k = _as_slope(k)
     if order < 0:
@@ -155,48 +165,15 @@ def solve_fd(k: int, order: int) -> PowerSeries:
     x = PowerSeries.x(order)
     one_fd = 1 + fd
     low = one_fd ** (k - 1)
-    if x * low * (one_fd * one_fd - x * (low * one_fd)) != fd:
+    f = one_fd * one_fd - x * (low * one_fd)
+    if x * low * f != fd:
         raise ConsistencyError(f"fixed point for k={k} not stable at order {order}")
-    return fd
+    return SeriesTriple(k=k, f=f, fd=fd, fe=f - one_fd)
 
 
-@dataclass(frozen=True)
-class SeriesTriple:
-    """F, FD, FE for one slope k: all paths / ending with D / ending with E."""
-
-    k: int
-    f: PowerSeries
-    fd: PowerSeries
-    fe: PowerSeries
-
-
-def assemble_triple(k: int, order: int) -> SeriesTriple:
-    """Build (F, FD, FE) from the fixed point and check their coupling identities.
-
-    F  = (1 + FD)^2 - x (1 + FD)^k
-    FE = (1 + FD) FD - x (1 + FD)^k
-    and the cross-checks FD = x F (1 + FD)^(k-1), FE = x (F - 1)(1 + FD)^k,
-    F = 1 + FD + FE must all hold to the truncation order.
-    """
-    k = _as_slope(k)
-    fd = solve_fd(k, order)
-    x = PowerSeries.x(order)
-    one_fd = 1 + fd
-    low = one_fd ** (k - 1)
-    x_high = x * (low * one_fd)  # x (1+FD)^k
-    f = one_fd * one_fd - x_high
-    fe = one_fd * fd - x_high
-    checks = (
-        ("FD = x F (1+FD)^(k-1)", fd, x * f * low),
-        ("FE = x (F-1) (1+FD)^k", fe, (f - 1) * x_high),
-        ("F = 1 + FD + FE", f, 1 + fd + fe),
-    )
-    for label, left, right in checks:
-        if left != right:
-            raise ConsistencyError(f"series identity failed for k={k}: {label}")
-    if f[0] != 1 or fd[0] != 0 or fe[0] != 0:
-        raise ConsistencyError(f"constant terms wrong for k={k}")
-    return SeriesTriple(k=k, f=f, fd=fd, fe=fe)
+def solve_fd(k: int, order: int) -> PowerSeries:
+    """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact."""
+    return assemble_triple(k, order).fd
 
 
 def catalan(n: int) -> int:
@@ -207,29 +184,38 @@ def catalan(n: int) -> int:
 
 
 def closed_k1(n: int) -> tuple[int, int, int]:
-    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1, by Catalan sums."""
+    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1: sums over m of catalan(m)
+    times C(n+m, 3m), C(n+m-1, 3m) and C(n+m-1, 3m-1), walked by exact term ratios."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    f = sum(catalan(m) * binomial(n + m, 3 * m) for m in range(n + 1))
-    fd = sum(catalan(m) * binomial(n + m - 1, 3 * m) for m in range(n + 1))
-    fe = sum(catalan(m) * binomial(n + m - 1, 3 * m - 1) for m in range(1, n + 1))
+    what = f"closed_k1({n})"
+    f = _term_walk(1, n // 2, lambda m: (
+        2 * (2 * m + 1) * (n + m + 1) * (n - 2 * m) * (n - 2 * m - 1),
+        (m + 2) * (3 * m + 1) * (3 * m + 2) * (3 * m + 3)), f"{what} F")
+    fd = _term_walk(binomial(n - 1, 0), (n - 1) // 2, lambda m: (
+        2 * (2 * m + 1) * (n + m) * (n - 2 * m - 1) * (n - 2 * m - 2),
+        (m + 2) * (3 * m + 1) * (3 * m + 2) * (3 * m + 3)), f"{what} FD")
+    # FE's sum starts at m = 1, so step i goes from m = i + 1 to m = i + 2
+    fe = _term_walk(binomial(n, 2), n // 2 - 1, lambda i: (
+        2 * (2 * i + 3) * (n + i + 1) * (n - 2 * i - 2) * (n - 2 * i - 3),
+        (i + 3) * (3 * i + 3) * (3 * i + 4) * (3 * i + 5)), f"{what} FE")
     return f, fd, fe
 
 
 def closed_k2(n: int) -> tuple[int, int]:
-    """Coefficients ([x^n]F, [x^n]FD) for k = 2, by signed sums of exact quotients."""
+    """Coefficients ([x^n]F, [x^n]FD) for k = 2: sums over j (m = n - j) of (-1)^j times
+    C(3m+1, m)/(m+1) C(m+1, j) and C(3m, m-1)/m C(m, j), walked by exact term ratios."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    f = sum(
-        (-1) ** (n - m) * _exact(binomial(3 * m + 1, m), m + 1, f"closed_k2({n}) F term {m}")
-        * binomial(m + 1, n - m)
-        for m in range(n // 2, n + 1)  # smaller m: binomial(m + 1, n - m) = 0
-    )
-    fd = sum(
-        (-1) ** (n - m) * _exact(binomial(3 * m, m - 1), m, f"closed_k2({n}) FD term {m}")
-        * binomial(m, n - m)
-        for m in range(max(1, (n + 1) // 2), n + 1)  # smaller m: binomial(m, n - m) = 0
-    )
+    what = f"closed_k2({n})"
+    first = _exact(binomial(3 * n + 1, n), n + 1, f"{what} F term 0")
+    f = _term_walk(first, (n + 1) // 2, lambda j: (
+        -2 * (2 * n - 2 * j + 1) * (n - 2 * j) * (n - 2 * j + 1),
+        3 * (3 * n - 3 * j - 1) * (3 * n - 3 * j + 1) * (j + 1)), f"{what} F")
+    first = _exact(binomial(3 * n, n - 1), max(n, 1), f"{what} FD term 0")  # 0 / 1 at n = 0
+    fd = _term_walk(first, n // 2, lambda j: (
+        -2 * (2 * n - 2 * j + 1) * (n - 2 * j) * (n - 2 * j - 1),
+        3 * (3 * n - 3 * j - 1) * (3 * n - 3 * j - 2) * (j + 1)), f"{what} FD")
     return f, fd
 
 
@@ -255,9 +241,9 @@ def radical_check_k1(order: int, triple: SeriesTriple | None = None) -> RadicalC
         raise ValueError(f"order must be nonnegative, got {order}")
     if triple is None:
         triple = assemble_triple(1, order)
-    f = triple.f.truncate(order)
-    fd = triple.fd.truncate(order)
-    fe = triple.fe.truncate(order)
+    if triple.k != 1:
+        raise ValueError(f"the radical identity is for k=1, got a triple for k={triple.k}")
+    f, fd, fe = (s.truncate(order) for s in (triple.f, triple.fd, triple.fe))
     x = PowerSeries.x(order)
     one_minus_x = 1 - x
     lhs = (one_minus_x**2 - 2 * x * x * f) ** 2

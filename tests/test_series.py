@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import (
     ConsistencyError,
@@ -18,6 +19,7 @@ from delannoy import (
     radical_check_k1,
     solve_fd,
 )
+from delannoy.counting import family_spec, spec_counts
 
 # Leading coefficients of the three series for each slope, frozen from the
 # closed forms and cross-checked against brute-force path counts elsewhere.
@@ -155,6 +157,11 @@ def test_radical_identity_holds():
     assert radical_check_k1(0).ok  # vacuously true on the constant term
 
 
+def test_radical_check_refuses_other_slopes():
+    with pytest.raises(ValueError, match="got a triple for k=2"):
+        radical_check_k1(5, assemble_triple(2, 5))
+
+
 def test_radical_identity_rejects_corrupted_series():
     triple = assemble_triple(1, 10)
     bad_f = triple.f + PowerSeries((0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0))
@@ -180,18 +187,20 @@ def test_substitution_identity_for_k2():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_assemble_rejects_a_non_fixed_point(monkeypatch, k):
-    x = PowerSeries.x(6)
-    corrupted = solve_fd(k, 6) + x**3
-    monkeypatch.setattr(series_module, "solve_fd", lambda k, order: corrupted)
-    with pytest.raises(ConsistencyError, match=r"FD = x F \(1\+FD\)\^\(k-1\)"):
+    # a solve that keeps G^(k+2) where G^(k+1) belongs stays integral and
+    # self-consistent, so only the substitution check can catch it
+    honest_next = series_module._miller_next
+    monkeypatch.setattr(
+        series_module, "_miller_next", lambda g, p, a: honest_next(g, p, a + (a == k + 1))
+    )
+    with pytest.raises(ConsistencyError, match=f"fixed point for k={k} not stable"):
         series_module.assemble_triple(k, 6)
 
 
-@pytest.mark.parametrize("k,solve_at_most,assemble_at_most", [(3, 7, 18), (5, 9, 22)])
-def test_checks_take_each_power_once(monkeypatch, k, solve_at_most, assemble_at_most):
-    """The checks take each power of 1 + FD once: k + 4 products in solve_fd,
-    2k + 10 in assemble_triple, which calls it (one ** per use took 3k + 3
-    and 7k + 11)."""
+@pytest.mark.parametrize("k,at_most", [(3, 7), (5, 9)])
+def test_checks_take_each_power_once(monkeypatch, k, at_most):
+    """One solve and one check: k + 4 products (G^(k-1), G^2, G^k, x G^k and
+    x G^(k-1) F) for assemble_triple and for solve_fd, a view of it."""
     honest_mul = PowerSeries.__mul__
     calls = []
 
@@ -200,11 +209,22 @@ def test_checks_take_each_power_once(monkeypatch, k, solve_at_most, assemble_at_
         return honest_mul(self, other)
 
     monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
-    solve_fd(k, 40)
-    assert len(calls) <= solve_at_most
-    calls.clear()
-    assemble_triple(k, 40)
-    assert len(calls) <= assemble_at_most
+    for solve in (solve_fd, assemble_triple):
+        calls.clear()
+        solve(k, 40)
+        assert len(calls) <= at_most, solve.__name__
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_series_count_region_paths_by_last_step(k):
+    """F, FD and FE are the paths DP's counts at the corners (n, kn): evidence
+    for F and FE that does not start from FD."""
+    n_max = 25
+    triple = assemble_triple(k, n_max)
+    for name, last in (("f", None), ("fd", "D"), ("fe", "E")):
+        counts = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
+        got = [counts[n, k * n] for n in range(n_max + 1)]
+        assert got == list(getattr(triple, name).coeffs), name
 
 
 def _fd_by_full_substitution(k, order):
@@ -249,6 +269,13 @@ def test_inexact_divisions_raise(monkeypatch):
     # (1 + x + x^2)^2 starts 1, 2, 3; a stored prefix 1, 1 is not that power
     with pytest.raises(ConsistencyError):
         series_module._miller_next([1, 1, 1], [1, 1], 2)
-    monkeypatch.setattr(series_module, "binomial", lambda n, k: 1)
-    with pytest.raises(ConsistencyError):
+    # closed_k2(4)'s F walks 143, -120, 21, the last step -120 * -84 / 480; -119 leaves a remainder
+    exact = counting_module._exact
+
+    def perturbed(num, den, what):
+        return exact(num, den, what) + (what == "closed_k2(4) F term 1")
+
+    assert closed_k2(4) == (44, 22)
+    monkeypatch.setattr(counting_module, "_exact", perturbed)
+    with pytest.raises(ConsistencyError, match=r"closed_k2\(4\) F term 2 is not an integer"):
         closed_k2(4)
