@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add
 from typing import Mapping
 
 from .errors import ConsistencyError
@@ -111,8 +113,9 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
     ``forbidden_aug`` (after the augmented path's leading E), and the last
     step when ``last_step`` is set.  The region prunes cells, ``first_step``
     the moves out of the empty word; an accepted state matches ``last_step``
-    and survives the augmented path's closing N.  One column of state vectors
-    is kept at a time.
+    and survives the augmented path's closing N.  A column holds one list over
+    y per state: an E or D move reads only column x - 1, so it is one
+    whole-column add from the region's first cell; N moves take one pass up.
     """
     n, m = spec.target
     _check_corner(n, m)
@@ -136,31 +139,38 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
               if last == spec.last_step and aug(s2, "N") is not None]
     k = spec.region_k
     counts: dict[tuple[int, int], int] = {}
-    left: list[list[int]] = []  # column x - 1
+    left: list[list[int]] = []  # column x - 1: one list over y per state
     for x in range(n + 1):
-        column: list[list[int]] = []
-        for y in range(m + 1):
-            v = [0] * len(index)
-            if (x, y) == (0, 0) and index:
-                v[0] = 1
-            elif k is None or y >= k * x:
-                for c, (dx, dy) in _DISPLACEMENT.items():
-                    if x >= dx and y >= dy:
-                        source = (left if dx else column)[y - dy]
-                        for s, t in moves[c]:
-                            v[t] += source[s]
-            column.append(v)
-            counts[x, y] = sum(v[i] for i in accept)
-        left = column
+        lo = 0 if k is None else k * x  # the column's first cell in the region, if any
+        col = [[0] * (m + 1) for _ in index]
+        if x == 0 and index:
+            col[0][0] = 1
+        elif x:  # E and D read only column x - 1: whole-column adds from lo (D from y >= 1)
+            for c, dy in (("E", 0), ("D", 1)):
+                a = max(lo, dy)
+                for s, t in moves[c]:
+                    if live[s]:  # most lists of a many-state automaton are zero
+                        col[t][a:] = map(add, col[t][a:], left[s][a - dy:m + 1 - dy])
+        pairs = [(col[s], col[t]) for s, t in moves["N"]]
+        for y in range(max(lo, 1), m + 1):  # N reads y - 1 of this column: one pass up
+            for src, dst in pairs:
+                dst[y] += src[y - 1]
+        live = list(map(any, col))  # zero lists add nothing: the sum and column x + 1 skip them
+        # a zero list heads the zip so a column with no live accepting state counts 0
+        counts.update(zip(zip(repeat(x), range(m + 1)),
+                          map(sum, zip([0] * (m + 1), *(col[i] for i in accept if live[i])))))
+        left = col
     return counts
 
 
 def _check_three_term(table: CountTable, nmax: int, mmax: int, lo: int) -> None:
     """Cross-check t(x,y) = t(x-1,y) + t(x,y-1) - t(x-2,y-2) on x, y >= lo, off the origin."""
+    t = table.values  # read directly, with the boundary guards of CountTable
     for x in range(lo, nmax + 1):
         for y in range(lo, mmax + 1):
-            expect = table[x - 1, y] + table[x, y - 1] - table[x - 2, y - 2]
-            if (x or y) and table[x, y] != expect:
+            expect = ((t[x - 1, y] if x else 0) + (t[x, y - 1] if y else 0)
+                      - (t[x - 2, y - 2] if x > 1 and y > 1 else 0))
+            if (x or y) and t[x, y] != expect:
                 raise ConsistencyError(f"{table.kind} recurrence failed at ({x}, {y})")
 
 

@@ -109,6 +109,16 @@ def test_h_recurrence_range():
         _check_three_term(table, 12, 12, 1)
 
 
+@pytest.mark.parametrize("cell", [(0, 5), (5, 0), (5, 3)])
+def test_three_term_check_names_a_corrupted_cell(cell):
+    """One wrong cell, on an edge (x = 0 or y = 0) or inside, is the first failure."""
+    values = dict(b_table(8, 8).values)
+    values[cell] += 1
+    x, y = cell
+    with pytest.raises(ConsistencyError, match=rf"b recurrence failed at \({x}, {y}\)$"):
+        _check_three_term(CountTable("b", values), 8, 8, 0)
+
+
 def test_b_values():
     assert b_dp(0, 0) == 1
     assert b_dp(1, 1) == 2
@@ -341,6 +351,15 @@ def test_expand_bivariate_edges():
 # a first or last step filter excludes the empty path at (0, 0)
 @example(0, 0, frozenset(), frozenset(), None, "E", None)
 @example(0, 0, frozenset(), frozenset(), None, None, "N")
+# column 3 lies wholly below y >= 2x: its first region cell 6 is past the top row
+@example(3, 4, frozenset(), frozenset(), 2, None, None)
+# a one-row corner takes no N or D move; a one-column corner no E or D move
+@example(4, 0, frozenset({"EE"}), frozenset(), None, None, None)
+@example(0, 5, frozenset({"NNN"}), frozenset(), None, None, None)
+# step filters inside a region
+@example(3, 5, frozenset(), frozenset({"EN"}), 1, "D", None)
+@example(3, 5, frozenset({"NE", "EN"}), frozenset(), 1, None, "E")
+@example(2, 5, frozenset({"NE", "EN"}), frozenset(), 2, None, "D")
 def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, first, last):
     """Random specs: the compiled DP's count at every corner equals the walk's."""
     spec = PathFamilySpec(

@@ -16,6 +16,7 @@ from delannoy import (
     catalan,
     closed_k1,
     closed_k2,
+    count_bruteforce,
     radical_check_k1,
     solve_fd,
 )
@@ -117,11 +118,12 @@ def test_solve_fd_validation():
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_triple_splits_by_last_step(k):
-    triple = assemble_triple(k, 12)
-    f, fd, fe = triple.f, triple.fd, triple.fe
-    assert f[0] == 1 and fd[0] == 0 and fe[0] == 0
-    for n in range(13):
-        assert f[n] == (1 if n == 0 else 0) + fd[n] + fe[n]
+    """FD and FE count the region's peak/valley-free paths to (n, kn) by last step."""
+    triple = assemble_triple(k, 6)
+    for n in range(7):
+        for last, series in (("D", triple.fd), ("E", triple.fe)):
+            spec = family_spec("h", n, k * n, region_k=k, last_step=last)
+            assert series[n] == count_bruteforce(spec), (n, last)
 
 
 def test_catalan():
