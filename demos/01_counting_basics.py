@@ -42,8 +42,8 @@ show_family("D- and EENN-free paths to (2,2)", no_deep)
 print(f"b_closed(2,2)      = {b_closed(2, 2)}")
 print()
 
-# Tables are cheap; the builders re-derive every entry through the closed
-# form and the recurrence and refuse to return on any disagreement.
+# Tables are cheap; the builders check every entry against the table's
+# generating function and refuse to return on any disagreement.
 h = h_table(6, 6)
 b = b_table(6, 6)
 print("h(n,m) for n,m <= 6:")
@@ -51,11 +51,12 @@ for n in range(7):
     print("  " + " ".join(f"{h[n, m]:6d}" for m in range(7)))
 print()
 
-# The three-term recurrence behind the tables holds only from (2,2) on.
+# The bare three-term recurrence (numerator 1) holds for h only from (2,2)
+# on; h's generating function has numerator 1 - xy, which corrects (1,1).
 lhs = h[1, 1]
 rhs = h[0, 1] + h[1, 0] - h[-1, -1]
 print(f"recurrence probe at (1,1): table value {lhs}, recurrence value {rhs}")
-print("  (the dynamic program therefore seeds the n<2 and m<2 border directly)")
+print(f"  (the numerator's -xy term: {rhs} - 1 = {lhs})")
 print()
 
 # Region-restricted counts: all vertices weakly above y = kx.

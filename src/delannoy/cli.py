@@ -234,11 +234,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("bounds must be nonnegative")
     if args.target == "tau" and args.k is not None:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
-    _guard_budget(
+    _guard_budget(  # each case walks its domain and its codomain
         (
-            2 * _walk_size(n, m, args.k, args.budget)
-            for n in range(args.max_n + 1)
-            for m in range(max_m + 1)
+            _walk_size(*spec.target, spec.region_k, args.budget)
+            for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
+            for spec in (domain, codomain)
         ),
         args.budget,
     )

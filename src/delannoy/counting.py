@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from operator import add
-from typing import Mapping
+from itertools import accumulate, repeat
+from operator import add, sub
+from typing import Iterator, Mapping
 
 from .errors import ConsistencyError
 from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner
@@ -118,7 +118,6 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
     whole-column add from the region's first cell; N moves take one pass up.
     """
     n, m = spec.target
-    _check_corner(n, m)
     fwd, aug = _matcher(spec.forbidden), _matcher(spec.forbidden_aug)
     # under a first-step filter the empty word has a state of its own (last step "")
     start = ("", aug("", "E"), "" if spec.first_step else None)
@@ -163,21 +162,35 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
     return counts
 
 
-def _check_three_term(table: CountTable, nmax: int, mmax: int, lo: int) -> None:
-    """Cross-check t(x,y) = t(x-1,y) + t(x,y-1) - t(x-2,y-2) on x, y >= lo, off the origin."""
-    t = table.values  # read directly, with the boundary guards of CountTable
-    for x in range(lo, nmax + 1):
-        for y in range(lo, mmax + 1):
-            expect = ((t[x - 1, y] if x else 0) + (t[x, y - 1] if y else 0)
-                      - (t[x - 2, y - 2] if x > 1 and y > 1 else 0))
-            if (x or y) and t[x, y] != expect:
-                raise ConsistencyError(f"{table.kind} recurrence failed at ({x}, {y})")
+def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iterator[list[int]]:
+    """Columns x = 0..n of numerator / (1 - x - y + x^2 y^2), each a list over y = 0..m.
+
+    The denominator gives c(x,y) = num(x,y) + c(x-1,y) + c(x,y-1) - c(x-2,y-2)
+    with c = 0 at negative indices, so column x is the running sum up the
+    column of num's column x, plus column x - 1, minus column x - 2 shifted
+    up by two.  Numerator keys outside the grid are ignored.
+    """
+    back2 = back1 = [0] * (m + 1)
+    for x in range(n + 1):
+        terms = map(numerator.get, zip(repeat(x), range(m + 1)), repeat(0))
+        col = list(accumulate(map(sub, map(add, terms, back1), [0, 0] + back2)))
+        yield col
+        back2, back1 = back1, col
+
+
+def _check_expansion(table: CountTable, numerator: Mapping, nmax: int, mmax: int) -> None:
+    """Cross-check every cell of table against numerator / (1 - x - y + x^2 y^2)."""
+    for x, want in enumerate(_expansion(numerator, nmax, mmax)):
+        got = list(map(table.values.__getitem__, zip(repeat(x), range(mmax + 1))))
+        if got != want:  # name the first wrong cell up the column
+            y = next(y for y, (a, b) in enumerate(zip(got, want)) if a != b)
+            raise ConsistencyError(f"{table.kind} recurrence failed at ({x}, {y})")
 
 
 def h_table(nmax: int, mmax: int) -> CountTable:
     """Counts of paths avoiding the factors NE and EN, for all corners in range."""
     table = CountTable("h", spec_counts(family_spec("h", nmax, mmax)))
-    _check_three_term(table, nmax, mmax, 2)  # the recurrence holds only from (2,2) on
+    _check_expansion(table, {(0, 0): 1, (1, 1): -1}, nmax, mmax)  # numerator 1 - xy
     return table
 
 
@@ -198,7 +211,7 @@ def h_closed(n: int, m: int) -> int:
 def b_table(nmax: int, mmax: int) -> CountTable:
     """Counts of North-East words (no D step) avoiding the factor EENN."""
     table = CountTable("b", spec_counts(family_spec("b", nmax, mmax)))
-    _check_three_term(table, nmax, mmax, 0)  # as for h, but everywhere off the origin
+    _check_expansion(table, {(0, 0): 1}, nmax, mmax)  # numerator 1
     return table
 
 
@@ -273,27 +286,14 @@ def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
     return form1
 
 
-def expand_bivariate(
-    numerator: Mapping[tuple[int, int], int], order: int
-) -> dict[tuple[int, int], int]:
-    """Coefficients of numerator / (1 - x - y + x^2 y^2) up to total degree order.
-
-    The denominator gives the recurrence
-    c(n,m) = num(n,m) + c(n-1,m) + c(n,m-1) - c(n-2,m-2)
-    with c = 0 at negative indices.  Returns c on the full (order+1)^2 grid.
-    """
+def expand_bivariate(numerator: Mapping[tuple[int, int], int],
+                     order: int) -> dict[tuple[int, int], int]:
+    """Coefficients of numerator / (1 - x - y + x^2 y^2) on the full (order+1)^2 grid."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     coeffs: dict[tuple[int, int], int] = {}
-    c = CountTable("expansion", coeffs)  # a live view: 0 at negative indices
-    for i in range(order + 1):
-        for j in range(order + 1):
-            coeffs[i, j] = (
-                numerator.get((i, j), 0)
-                + c[i - 1, j]
-                + c[i, j - 1]
-                - c[i - 2, j - 2]
-            )
+    for x, col in enumerate(_expansion(numerator, order, order)):
+        coeffs.update(zip(zip(repeat(x), range(order + 1)), col))
     return coeffs
 
 

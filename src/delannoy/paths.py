@@ -155,6 +155,7 @@ class PathFamilySpec:
         if int(x) != x or int(y) != y:
             raise ValueError(f"corner coordinates must be integers, got {self.target}")
         object.__setattr__(self, "target", (int(x), int(y)))
+        _check_corner(*self.target)
         object.__setattr__(self, "forbidden", _as_patterns(self.forbidden))
         object.__setattr__(self, "forbidden_aug", _as_patterns(self.forbidden_aug))
         if self.region_k is not None:
@@ -230,11 +231,9 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
 
 def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
     """Yield every path of the family, in lexicographic word order E < N < D."""
-    _check_corner(*spec.target)
     return (LatticePath(word=w) for w in _member_words(spec))
 
 
 def count_bruteforce(spec: PathFamilySpec) -> int:
     """Cardinality of enumerate_paths(spec), without materializing the paths."""
-    _check_corner(*spec.target)
     return sum(1 for _ in _member_words(spec))

@@ -286,6 +286,18 @@ def test_verify_usage_errors(capsys):
     assert code == 1 and "budget" in err
 
 
+def test_verify_budget_charges_each_walk(capsys, monkeypatch):
+    """Each case is charged its domain and codomain walks, before any is walked."""
+    # tau at (1,1) walks all 3 paths to (1,1) and the 1 path to the shifted corner (0,0)
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "4")[0] == 0
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "3")[0] == 1
+    walked = []
+    monkeypatch.setattr(bijections_module, "verify_bijection", lambda *a, **kw: walked.append(a))
+    code, _, err = run(capsys, "verify", "all", "--max-n", "12", "--k", "3")
+    assert code == 1 and "exceeds budget 10000000" in err
+    assert walked == []
+
+
 def test_verify_mutation_fails_with_witnesses(capsys, monkeypatch):
     monkeypatch.setattr(bijections_module, "pi_map", lambda p: p)
     code, _, err = run(capsys, "verify", "pi", "--max-n", "2", "--max-m", "2")

@@ -30,7 +30,7 @@ from delannoy import (
     schroeder_count,
     schroeder_rect_count,
 )
-from delannoy.counting import _check_three_term, spec_counts
+from delannoy.counting import _check_expansion, spec_counts
 from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
@@ -104,19 +104,42 @@ def test_h_recurrence_range():
     lhs = table[1, 1]
     rhs = table[0, 1] + table[1, 0] - table[-1, -1]
     assert (lhs, rhs) == (1, 2)
-    # the table's own cross-check, started one row early, stops there
+    # checked against the bare recurrence (numerator 1), the table fails there first
     with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(1, 1\)"):
-        _check_three_term(table, 12, 12, 1)
+        _check_expansion(table, {(0, 0): 1}, 12, 12)
 
 
-@pytest.mark.parametrize("cell", [(0, 5), (5, 0), (5, 3)])
+_NUMERATORS = {"h": {(0, 0): 1, (1, 1): -1}, "b": {(0, 0): 1}}
+
+
+# (table kind, x, y): b's edges and inside, then both origins and h's far edges
+@pytest.mark.parametrize("cell", [
+    ("b", 0, 5), ("b", 5, 0), ("b", 5, 3), ("b", 0, 0),
+    ("h", 6, 0), ("h", 0, 6), ("h", 1, 6), ("h", 0, 0),
+])
 def test_three_term_check_names_a_corrupted_cell(cell):
-    """One wrong cell, on an edge (x = 0 or y = 0) or inside, is the first failure."""
-    values = dict(b_table(8, 8).values)
-    values[cell] += 1
-    x, y = cell
-    with pytest.raises(ConsistencyError, match=rf"b recurrence failed at \({x}, {y}\)$"):
-        _check_three_term(CountTable("b", values), 8, 8, 0)
+    """One wrong cell, on an edge (x = 0 or y = 0), at the origin or inside, is the first failure."""
+    kind, x, y = cell
+    values = dict((h_table if kind == "h" else b_table)(8, 8).values)
+    values[x, y] += 1
+    with pytest.raises(ConsistencyError, match=rf"{kind} recurrence failed at \({x}, {y}\)$"):
+        _check_expansion(CountTable(kind, values), _NUMERATORS[kind], 8, 8)
+
+
+def test_tables_name_every_corrupted_cell(monkeypatch):
+    """h_table and b_table check every cell of the DP: each one corrupted is named."""
+    real = counting_module.spec_counts
+    for build, kind in ((h_table, "h"), (b_table, "b")):
+        for cell in itertools.product(range(7), repeat=2):
+            def corrupted(spec, cell=cell):
+                counts = real(spec)
+                counts[cell] -= 1
+                return counts
+
+            monkeypatch.setattr(counting_module, "spec_counts", corrupted)
+            x, y = cell
+            with pytest.raises(ConsistencyError, match=rf"{kind} recurrence failed at \({x}, {y}\)$"):
+                build(6, 6)
 
 
 def test_b_values():
