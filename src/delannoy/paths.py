@@ -29,6 +29,7 @@ class Step(str, enum.Enum):
 
 
 _DISPLACEMENT: dict[str, Point] = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}
+_STEP_CHARS = frozenset(_DISPLACEMENT)
 
 # Enumeration emits words in lexicographic order under E < N < D; the order is
 # part of the output contract, so it is fixed here once.  The walker pushes
@@ -37,6 +38,8 @@ _STEPS_REVERSED: tuple[tuple[str, int, int], ...] = (("D", 1, 1), ("N", 0, 1), (
 
 
 def _check_word(text: str) -> None:
+    if _STEP_CHARS.issuperset(text):  # one C-level pass; the loop only names the culprit
+        return
     for i, c in enumerate(text):
         if c not in _DISPLACEMENT:
             raise ValueError(f"invalid step character {c!r} at position {i}")
@@ -57,7 +60,9 @@ class LatticePath:
 
     @property
     def end(self) -> Point:
-        return self.vertices()[-1]
+        (x, y), w = self.start, self.word
+        d = w.count("D")
+        return (x + w.count("E") + d, y + w.count("N") + d)
 
     def vertices(self) -> list[Point]:
         """All visited points, start first, end last (length |word| + 1)."""
@@ -172,21 +177,13 @@ def satisfies(path: LatticePath, spec: PathFamilySpec) -> bool:
         return False
     if spec.region_k is not None and not in_region(path, spec.region_k):
         return False
-    return _final_ok(path.word, spec)
-
-
-def _final_ok(word: str, spec: PathFamilySpec) -> bool:
-    # The conditions only a whole word decides: the first and last steps and
-    # the augmented-path patterns.
+    word = path.word
     if spec.first_step is not None and word[:1] != spec.first_step:
         return False
     if spec.last_step is not None and word[-1:] != spec.last_step:
         return False
-    if spec.forbidden_aug:
-        aug = "E" + word + "N"
-        if any(p in aug for p in spec.forbidden_aug):
-            return False
-    return True
+    aug = "E" + word + "N"
+    return not any(p in aug for p in spec.forbidden_aug)
 
 
 def _check_corner(n: int, m: int) -> None:
@@ -200,20 +197,27 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
     Depth-first walk over prefixes on an explicit stack, so the path length
     is not bounded by the recursion limit.  Steps never decrease a
     coordinate, so a prefix dies as soon as it overshoots the target, leaves
-    the region, or completes a forbidden factor, and a prefix that reaches
-    the target is a whole word: the conditions only a whole word decides are
-    checked there.
+    the region, or completes a forbidden factor.  Every completion's
+    augmented word starts with "E" + prefix, so a prefix also dies as soon as
+    that string ends with a forbidden augmented pattern; the lone leading
+    "E" is checked once, before the walk.  A prefix that reaches the target
+    is a whole word, and there only the step filters and the augmented
+    occurrences that end at the closing N are left to check.
     """
     n, m = spec.target
     pats = tuple(spec.forbidden)
+    augs = tuple(spec.forbidden_aug)
     k = spec.region_k
-    first = spec.first_step
+    first, last = spec.first_step, spec.last_step
+    if "E" in augs:
+        return
     stack = [("", 0, 0)]
     while stack:
         word, x, y = stack.pop()
         if x == n and y == m:
-            if _final_ok(word, spec):
-                yield word
+            if (first is None or word[:1] == first) and (last is None or word[-1:] == last):
+                if not (augs and ("E" + word + "N").endswith(augs)):
+                    yield word
             continue
         for c, dx, dy in _STEPS_REVERSED:
             if not word and first is not None and c != first:
@@ -225,6 +229,8 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
                 continue
             w2 = word + c
             if pats and w2.endswith(pats):
+                continue
+            if augs and ("E" + w2).endswith(augs):
                 continue
             stack.append((w2, x2, y2))
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from delannoy import (
@@ -50,6 +50,12 @@ def test_parse_and_endpoint():
 def test_parse_error_names_position():
     with pytest.raises(ValueError, match="position 2"):
         parse_path("ENXEN")
+
+
+@given(words, st.integers(-5, 5), st.integers(-5, 5))
+def test_end_is_last_vertex(word, x, y):
+    path = parse_path(word, start=(x, y))
+    assert path.end == path.vertices()[-1]
 
 
 def test_vertices():
@@ -208,6 +214,16 @@ def test_enumerate_matches_naive_generation(n, m):
     steps,
     steps,
 )
+# Edges of the prefix pruning of augmented patterns: the lone leading E at an
+# empty word, a pattern that needs the leading E or the closing N, and a
+# pruned D beside the step filters.
+@example(0, 0, frozenset(), frozenset({"E"}), None, None, None)
+@example(0, 0, frozenset(), frozenset({"N"}), None, None, None)
+@example(0, 0, frozenset(), frozenset({"EN"}), None, None, None)
+@example(1, 1, frozenset(), frozenset({"EEN"}), None, None, None)
+@example(0, 1, frozenset(), frozenset({"NN"}), None, None, None)
+@example(2, 2, frozenset(), frozenset({"D"}), None, "N", "E")
+@example(2, 3, frozenset(), frozenset({"D"}), 1, "N", "N")
 def test_walker_matches_naive_family_in_order(n, m, forbidden, forbidden_aug, region_k, first, last):
     """Random specs: the walk yields exactly the naive family, sorted E < N < D."""
     kwargs = dict(
