@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import factorial
 from typing import Any, Iterable
 
 from . import bijections, conjectures, counting, series
@@ -36,20 +35,24 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _walk_size(n: int, m: int, k: int | None, budget: int) -> int:
-    """Size of the unpruned walk to (n, m): every Delannoy path, or every path
-    in y >= kx when k is set.
+def _walk_size(spec: PathFamilySpec, budget: int) -> int:
+    """Size of the walk to spec's target: every Delannoy path, or every path
+    in y >= kx when k is set.  A spec that forbids D, plainly or in the
+    augmented path, walks only the North-East paths: the walker never tries a
+    D step for it.
 
-    A cheap lower bound that already exceeds ``budget`` is returned in place
-    of the exact count: the North-East paths C(n+m, n), or in the region the
-    k-ballot paths (m-kn+1) C(m+n+1, n) / (m+n+1), written as a difference of
-    binomials.
+    The North-East count C(n+m, n), or in the region the k-ballot count
+    (m-kn+1) C(m+n, n) / (m+1), written as a difference of binomials, is a
+    cheap lower bound on the full walk; one that already exceeds ``budget``
+    is returned in place of the exact count.
     """
-    if k is None:
-        lower = counting.binomial(n + m, n)
-        return lower if lower > budget else counting.delannoy_count(n, m)
-    lower = counting.binomial(n + m, n) - k * counting.binomial(n + m, n - 1)
-    return lower if lower > budget else counting.schroeder_rect_count(n, m, k)
+    (n, m), k = spec.target, spec.region_k
+    lower = counting.binomial(n + m, n) - (k or 0) * counting.binomial(n + m, n - 1)
+    if "D" in spec.forbidden | spec.forbidden_aug:
+        return max(lower, 0)  # no path reaches a corner below the region
+    if lower > budget:
+        return lower
+    return counting.delannoy_count(n, m) if k is None else counting.schroeder_rect_count(n, m, k)
 
 
 def _guard_budget(sizes: Iterable[int], budget: int) -> None:
@@ -64,7 +67,7 @@ def _guard_budget(sizes: Iterable[int], budget: int) -> None:
 
 
 def _guard_spec(spec: PathFamilySpec, budget: int) -> None:
-    _guard_budget([_walk_size(*spec.target, spec.region_k, budget)], budget)
+    _guard_budget([_walk_size(spec, budget)], budget)
 
 
 def _parse_patterns(text: str | None) -> frozenset[str]:
@@ -236,7 +239,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
     _guard_budget(  # each case walks its domain and its codomain
         (
-            _walk_size(*spec.target, spec.region_k, args.budget)
+            _walk_size(spec, args.budget)
             for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
             for spec in (domain, codomain)
         ),
@@ -287,13 +290,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_conjecture(args: argparse.Namespace) -> int:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    # The path side is one polynomial DP.  Conjecture 1's partner is a DP too:
-    # (n+2)^2 cells times at most (n+2)^2 matcher states bound its work.
-    # Conjecture 2's partner walks up to n! inversion sequences.
-    _guard_budget(
-        ((n + 2) ** 4 if args.which == 1 else factorial(n) for n in range(1, args.max_n + 1)),
-        args.budget,
-    )
+    # The path side is one polynomial DP.  Each partner is one table for every
+    # size: conjecture 1's has (n+2)^2 cells, and conjecture 2's makes at most
+    # (n+2)^4 (n+7) / 120 big-int multiply-adds (see inversion_102_counts).
+    n = args.max_n
+    _guard_budget([(n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120], args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     lines = [

@@ -171,6 +171,18 @@ def test_budget_boundary_is_the_unpruned_walk_size(capsys):
     assert code == 1 and "budget" in err
 
 
+def test_budget_charges_a_d_free_walk_its_north_east_paths(capsys):
+    # the walker never tries a D step here, so the charge is C(16, 8) = 12870
+    assert run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "12870")[0] == 0
+    code, _, err = run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "12869")
+    assert code == 1 and "budget" in err
+    # the same for D forbidden in the augmented path, and in the region y >= 2x
+    aug = ("enum", "--target", "3", "6", "--avoid-aug", "D", "--region", "2", "--budget")
+    ballot = (6 - 2 * 3 + 1) * 84 // 7  # (m-kn+1) C(m+n, n) / (m+1)
+    assert run(capsys, *aug, str(ballot))[0] == 0
+    assert run(capsys, *aug, str(ballot - 1))[0] == 1
+
+
 def test_huge_enumeration_is_refused_without_counting_it(capsys):
     code, _, err = run(capsys, "enum", "--target", "20000", "20000")
     assert code == 1 and "budget" in err
@@ -288,14 +300,21 @@ def test_verify_usage_errors(capsys):
 
 def test_verify_budget_charges_each_walk(capsys, monkeypatch):
     """Each case is charged its domain and codomain walks, before any is walked."""
-    # tau at (1,1) walks all 3 paths to (1,1) and the 1 path to the shifted corner (0,0)
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "4")[0] == 0
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "3")[0] == 1
+    # tau at (1,1) walks b, which forbids D: the 2 North-East paths to (1,1)
+    # and the 1 path to the shifted corner (0,0)
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "3")[0] == 0
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "2")[0] == 1
     walked = []
     monkeypatch.setattr(bijections_module, "verify_bijection", lambda *a, **kw: walked.append(a))
     code, _, err = run(capsys, "verify", "all", "--max-n", "12", "--k", "3")
     assert code == 1 and "exceeds budget 10000000" in err
     assert walked == []
+
+
+def test_verify_all_to_nine_fits_the_default_budget(capsys):
+    # a walk of a (augmented D avoided) is charged its North-East paths only
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "9")
+    assert code == 0 and out.endswith("all 281 cases ok\n")
 
 
 def test_verify_mutation_fails_with_witnesses(capsys, monkeypatch):
@@ -326,23 +345,41 @@ def test_conjecture_json(capsys):
 
 
 def test_conjecture_mutation(capsys, monkeypatch):
-    monkeypatch.setattr(conjectures_module, "count_inversion_102", lambda n: 0)
+    monkeypatch.setattr(conjectures_module, "inversion_102_counts", lambda n_max: [0] * (n_max + 1))
     code, out, err = run(capsys, "conjecture", "2", "--max-n", "3")
     assert code == 2 and "disagree" in err
 
 
-def test_conjecture_budget_counts_only_the_partner(capsys):
-    # the path side is a polynomial DP; conjecture 2's partner walks n! sequences
-    code, out, _ = run(capsys, "conjecture", "2", "--max-n", "10")
+def test_conjecture1_mutation(capsys, monkeypatch):
+    monkeypatch.setattr(conjectures_module, "no_symmetric_peak_counts", lambda n_max: [0] * (n_max + 1))
+    code, out, err = run(capsys, "conjecture", "1", "--max-n", "3")
+    assert code == 2 and "disagree" in err
+
+
+def test_conjecture_checks_never_call_the_oracles(capsys, monkeypatch):
+    for oracle in ("count_inversion_102", "count_catalan_no_symmetric_peak"):
+        monkeypatch.setattr(conjectures_module, oracle, lambda n: pytest.fail("oracle called"))
+    for which in ("1", "2"):
+        assert run(capsys, "conjecture", which, "--max-n", "9")[0] == 0
+
+
+def test_conjecture_budget_counts_only_the_partner(capsys, monkeypatch):
+    # each partner is one table for every size, charged once: conjecture 1's
+    # (n+2)^2 cells, conjecture 2's (n+2)^4 (n+7) // 120 multiply-adds
+    code, out, _ = run(capsys, "conjecture", "1", "--max-n", "500")
     assert code == 0 and out.endswith("agree\n")
-    code, _, err = run(capsys, "conjecture", "2", "--max-n", "11")
-    assert code == 1 and "budget" in err
-    # conjecture 1's partner is a DP charged (n+2)^4 per size: past the budget from 33 on
-    code, out, _ = run(capsys, "conjecture", "1", "--max-n", "32")
+    code, out, _ = run(capsys, "conjecture", "2", "--max-n", "30")
     assert code == 0 and out.endswith("agree\n")
-    for max_n in ("33", "10000"):
-        code, _, err = run(capsys, "conjecture", "1", "--max-n", max_n)
+    for which, charge in (("1", 36), ("2", 118)):  # at --max-n 4
+        assert run(capsys, "conjecture", which, "--max-n", "4", "--budget", str(charge))[0] == 0
+        code, _, err = run(capsys, "conjecture", which, "--max-n", "4", "--budget", str(charge - 1))
         assert code == 1 and "budget" in err
+    checked = []
+    monkeypatch.setattr(conjectures_module, "_check", lambda *a: checked.append(a))
+    for which in ("1", "2"):
+        code, _, err = run(capsys, "conjecture", which, "--max-n", "1000000")
+        assert code == 1 and "budget" in err
+    assert checked == []
 
 
 def test_conjecture_usage(capsys):

@@ -19,6 +19,7 @@ from delannoy import (
     enumerate_paths,
     inversion_sequences,
 )
+from delannoy.conjectures import inversion_102_counts, no_symmetric_peak_counts
 
 
 def test_inversion_sequence_validation():
@@ -100,11 +101,32 @@ def _has_symmetric_peak(word):
 def test_partner_spec_is_the_run_length_scan():
     """The augmented-pattern spec keeps exactly the Catalan words that the
     run-length scan keeps, in the same order, and the partner counts them."""
+    table = no_symmetric_peak_counts(10)
     for size in range(1, 11):
         catalan = PathFamilySpec(target=(size, size), forbidden={"D"}, region_k=1)
         scanned = [p.word for p in enumerate_paths(catalan) if not _has_symmetric_peak(p.word)]
         assert [p.word for p in enumerate_paths(_partner_spec(size))] == scanned, size
         assert count_catalan_no_symmetric_peak(size) == len(scanned), size
+        assert table[size] == len(scanned), size
+
+
+def test_inversion_table_matches_the_search():
+    """The polynomial table against the depth-first search, every length <= 10."""
+    assert inversion_102_counts(10) == [1] + [count_inversion_102(n) for n in range(1, 11)]
+    for n_max in range(10):  # each table agrees with the longest one on its range
+        assert inversion_102_counts(n_max) == inversion_102_counts(10)[: n_max + 1]
+    with pytest.raises(ValueError):
+        inversion_102_counts(-1)
+
+
+def test_run_table_matches_the_spec_partner():
+    """The run DP against the augmented-pattern spec, every size <= 12."""
+    table = no_symmetric_peak_counts(12)
+    assert table[0] == 1  # the empty path
+    assert table[1:] == [count_catalan_no_symmetric_peak(n) for n in range(1, 13)]
+    assert no_symmetric_peak_counts(5) == table[:6]
+    with pytest.raises(ValueError):
+        no_symmetric_peak_counts(-1)
 
 
 def test_conjecture1_report():
@@ -128,8 +150,9 @@ def test_conjecture2_report():
 
 
 def test_conjecture_path_sides_match_the_series():
-    """Both columns (the path side read off one DP table) against the series routes."""
-    for check, k, which, n_max in ((check_conjecture2, 2, "fd", 10), (check_conjecture1, 1, "fe", 30)):
+    """Both columns (the path side read off one DP table, the partner off its
+    own table) against the series routes, well past the search's reach."""
+    for check, k, which, n_max in ((check_conjecture2, 2, "fd", 30), (check_conjecture1, 1, "fe", 200)):
         report = check(n_max)
         assert report.verdict
         series = getattr(assemble_triple(k, n_max), which)
