@@ -21,7 +21,7 @@ from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_path
 DEFAULT_BUDGET = 10**7
 
 # b-file sequence -> the series coefficients it prints, as (series, k);
-# h-diag is read off the h table instead.
+# h-diag is read off the h table's checked columns instead.
 _BFILE_SEQUENCES = {
     "h-diag": None, "F1": ("f", 1), "FD2": ("fd", 2), "FE1": ("fe", 1), "FD3": ("fd", 3),
 }
@@ -274,12 +274,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for row in rows
     ]
     lines.append(f"all {len(rows)} cases ok")
-    parameters = {
-        "target": args.target,
-        "max_n": args.max_n,
-        "max_m": max_m,
-        "k": args.k,
-    }
+    parameters = {"target": args.target, "max_n": args.max_n, "max_m": max_m, "k": args.k}
     _emit(args, parameters, {"cases": rows, "ok": True}, lines)
     return 0
 
@@ -318,8 +313,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
 
 def _bfile_values(sequence: str, order: int) -> list[int]:
     if _BFILE_SEQUENCES[sequence] is None:
-        table = counting.h_table(order, order)
-        return [table[n, n] for n in range(order + 1)]
+        return [column[n] for n, column in enumerate(counting.table_columns("h", order, order))]
     which, k = _BFILE_SEQUENCES[sequence]
     triple = series.assemble_triple(k, order)
     return list(getattr(triple, which).coeffs)

@@ -34,10 +34,11 @@ class InversionSequence:
     entries: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(int(e) for e in self.entries))
-        for i, e in enumerate(self.entries):
-            if not 0 <= e <= i:
-                raise ValueError(f"entry {e} at position {i + 1} outside [0, {i}]")
+        entries = tuple(map(int, self.entries))
+        for i, (e, given) in enumerate(zip(entries, self.entries)):
+            if e != given or not 0 <= e <= i:  # 1.0 is 1; 1.7 is refused, not truncated
+                raise ValueError(f"entry {given} at position {i + 1} is not an integer in [0, {i}]")
+        object.__setattr__(self, "entries", entries)
 
     def has_pattern_102(self) -> bool:
         e = self.entries
@@ -101,7 +102,7 @@ def count_catalan_no_symmetric_peak(n: int) -> int:
         raise ValueError(f"size must be positive, got {n}")
     peaks = {"E" + "N" * j + "E" * j + "N" for j in range(1, n + 1)}
     spec = PathFamilySpec(target=(n, n), forbidden={"D"}, forbidden_aug=peaks, region_k=1)
-    return spec_counts(spec)[n, n]
+    return next(itertools.islice(spec_counts(spec), n, None))[n]  # the last column, n
 
 
 def _plus(a: list[int], b: list[int]) -> list[int]:
@@ -218,10 +219,10 @@ def _check(which: int, n_max: int) -> ConjectureReport:
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
     k, last, partner = _CONJECTURES[which]
-    # one table holds the path count at every corner (n, kn) up to n_max
-    paths = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
     partners = partner(n_max)
-    rows = tuple((n, paths[n, k * n], partners[n]) for n in range(1, n_max + 1))
+    # one DP: the path count at (n, kn) is read off its column n as it passes
+    columns = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
+    rows = tuple((n, column[k * n], partners[n]) for n, column in enumerate(columns) if n >= 1)
     return ConjectureReport(which=which, n_max=n_max, rows=rows)
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import add, sub
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError
 from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner
@@ -75,16 +75,16 @@ def delannoy_count(n: int, m: int) -> int:
 
 @dataclass(frozen=True)
 class CountTable:
-    """A rectangle of counts, indexed by corner; negative corners count 0."""
+    """A rectangle of counts: columns[x][y] is corner (x, y); negative corners count 0."""
 
     kind: str
-    values: Mapping[tuple[int, int], int]
+    columns: Sequence[Sequence[int]]
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         n, m = key
         if n < 0 or m < 0:
             return 0
-        return self.values[n, m]
+        return self.columns[n][m]
 
 
 def _matcher(patterns: frozenset[str]):
@@ -105,9 +105,10 @@ def _matcher(patterns: frozenset[str]):
     return step
 
 
-def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
+def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
     """The family's size at every corner (x, y) <= spec.target, as if it were
-    the target, by a transfer-matrix DP (Stanley, EC1 4.7) compiled from spec.
+    the target, by a transfer-matrix DP (Stanley, EC1 4.7) compiled from spec:
+    columns x = 0..n in turn, each a list over y = 0..m, computed as asked for.
 
     A state is a reachable triple: the matcher states of ``forbidden`` and of
     ``forbidden_aug`` (after the augmented path's leading E), and the last
@@ -137,7 +138,6 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
     accept = [i for (_, s2, last), i in index.items()
               if last == spec.last_step and aug(s2, "N") is not None]
     k = spec.region_k
-    counts: dict[tuple[int, int], int] = {}
     left: list[list[int]] = []  # column x - 1: one list over y per state
     for x in range(n + 1):
         lo = 0 if k is None else k * x  # the column's first cell in the region, if any
@@ -156,10 +156,8 @@ def spec_counts(spec: PathFamilySpec) -> dict[tuple[int, int], int]:
                 dst[y] += src[y - 1]
         live = list(map(any, col))  # zero lists add nothing: the sum and column x + 1 skip them
         # a zero list heads the zip so a column with no live accepting state counts 0
-        counts.update(zip(zip(repeat(x), range(m + 1)),
-                          map(sum, zip([0] * (m + 1), *(col[i] for i in accept if live[i])))))
+        yield list(map(sum, zip([0] * (m + 1), *(col[i] for i in accept if live[i]))))
         left = col
-    return counts
 
 
 def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iterator[list[int]]:
@@ -178,20 +176,27 @@ def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iter
         back2, back1 = back1, col
 
 
-def _check_expansion(table: CountTable, numerator: Mapping, nmax: int, mmax: int) -> None:
-    """Cross-check every cell of table against numerator / (1 - x - y + x^2 y^2)."""
-    for x, want in enumerate(_expansion(numerator, nmax, mmax)):
-        got = list(map(table.values.__getitem__, zip(repeat(x), range(mmax + 1))))
+def _check_expansion(kind: str, columns: Iterable[list[int]], numerator: Mapping,
+                     nmax: int, mmax: int) -> Iterator[list[int]]:
+    """Pass on columns x = 0..nmax, each checked as it arrives against numerator /
+    (1 - x - y + x^2 y^2): a wrong cell raises before the next column is asked for."""
+    for x, (got, want) in enumerate(zip(columns, _expansion(numerator, nmax, mmax), strict=True)):
         if got != want:  # name the first wrong cell up the column
             y = next(y for y, (a, b) in enumerate(zip(got, want)) if a != b)
-            raise ConsistencyError(f"{table.kind} recurrence failed at ({x}, {y})")
+            raise ConsistencyError(f"{kind} recurrence failed at ({x}, {y})")
+        yield got
+
+
+def table_columns(kind: str, nmax: int, mmax: int) -> Iterator[list[int]]:
+    """Columns x = 0..nmax of the h or b table by the DP, each checked cell by
+    cell against the table's generating function before it is passed on."""
+    numerator = {"h": {(0, 0): 1, (1, 1): -1}, "b": {(0, 0): 1}}[kind]  # 1 - xy or 1
+    return _check_expansion(kind, spec_counts(family_spec(kind, nmax, mmax)), numerator, nmax, mmax)
 
 
 def h_table(nmax: int, mmax: int) -> CountTable:
     """Counts of paths avoiding the factors NE and EN, for all corners in range."""
-    table = CountTable("h", spec_counts(family_spec("h", nmax, mmax)))
-    _check_expansion(table, {(0, 0): 1, (1, 1): -1}, nmax, mmax)  # numerator 1 - xy
-    return table
+    return CountTable("h", list(table_columns("h", nmax, mmax)))
 
 
 def h_dp(n: int, m: int) -> int:
@@ -210,9 +215,7 @@ def h_closed(n: int, m: int) -> int:
 
 def b_table(nmax: int, mmax: int) -> CountTable:
     """Counts of North-East words (no D step) avoiding the factor EENN."""
-    table = CountTable("b", spec_counts(family_spec("b", nmax, mmax)))
-    _check_expansion(table, {(0, 0): 1}, nmax, mmax)  # numerator 1
-    return table
+    return CountTable("b", list(table_columns("b", nmax, mmax)))
 
 
 def b_dp(n: int, m: int) -> int:
@@ -291,10 +294,8 @@ def expand_bivariate(numerator: Mapping[tuple[int, int], int],
     """Coefficients of numerator / (1 - x - y + x^2 y^2) on the full (order+1)^2 grid."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    coeffs: dict[tuple[int, int], int] = {}
-    for x, col in enumerate(_expansion(numerator, order, order)):
-        coeffs.update(zip(zip(repeat(x), range(order + 1)), col))
-    return coeffs
+    columns = _expansion(numerator, order, order)
+    return {(x, y): c for x, col in enumerate(columns) for y, c in enumerate(col)}
 
 
 # Every counted family: the fields of its PathFamilySpec beyond the corner,

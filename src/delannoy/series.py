@@ -33,11 +33,14 @@ class PowerSeries:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ValueError("a truncated series stores at least the constant term")
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
+        coeffs = tuple(map(int, self.coeffs))
+        if coeffs != tuple(self.coeffs):  # 2.0 is 2; 2.5 is refused, not truncated
+            raise ValueError(f"coefficients must be integers, got {self.coeffs}")
+        object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
     def constant(cls, value: int, order: int) -> "PowerSeries":
-        return cls((int(value),) + (0,) * order)
+        return cls((value,) + (0,) * order)
 
     @classmethod
     def zero(cls, order: int) -> "PowerSeries":

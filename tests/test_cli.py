@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 
 import pytest
 
@@ -11,8 +12,8 @@ import delannoy.bijections as bijections_module
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
-from delannoy import assemble_triple, schroeder_rect_count
-from delannoy.cli import main
+from delannoy import assemble_triple, h_closed, schroeder_rect_count
+from delannoy.cli import _bfile_values, main
 
 
 def run(capsys, *argv):
@@ -412,6 +413,19 @@ def test_bfile_reaches_high_order(capsys):
     rows = out.splitlines()
     assert code == 0 and len(rows) == 301
     assert rows[60] == f"60 {assemble_triple(3, 60).fd[60]}"
+
+
+def test_bfile_h_diag_streams_the_table():
+    """h-diag reads each checked column as it passes: it never holds the
+    (order+1)^2 table (1.9 MB under tracemalloc at order 120 when it did)."""
+    tracemalloc.start()
+    try:
+        values = _bfile_values("h-diag", 120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values[:5] == [1, 1, 3, 9, 27] and values[120] == h_closed(120, 120)
+    assert peak < 500_000
 
 
 def test_bfile_usage(capsys):

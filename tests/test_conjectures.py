@@ -4,6 +4,7 @@ equinumerosity harnesses."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -30,6 +31,9 @@ def test_inversion_sequence_validation():
         InversionSequence((0, 2))  # e_2 <= 1
     with pytest.raises(ValueError):
         InversionSequence((0, -1))
+    assert InversionSequence((0, 1.0)).entries == (0, 1)  # an integral float is its integer
+    with pytest.raises(ValueError, match="not an integer"):
+        InversionSequence((0, 1.7))  # not truncated to (0, 1)
 
 
 def test_pattern_102_detection():
@@ -157,6 +161,19 @@ def test_conjecture_path_sides_match_the_series():
         assert report.verdict
         series = getattr(assemble_triple(k, n_max), which)
         assert report.rows == tuple((n, series[n], series[n]) for n in range(1, n_max + 1))
+
+
+def test_conjecture_path_side_streams_its_columns():
+    """The path side reads cell (n, kn) of each DP column as it passes: it never
+    holds the whole table (1.6 MB under tracemalloc at n_max = 120 when it did)."""
+    tracemalloc.start()
+    try:
+        report = check_conjecture1(120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.verdict and len(report.rows) == 120
+    assert peak < 500_000
 
 
 def test_corner_families_coincide():

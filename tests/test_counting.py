@@ -106,7 +106,7 @@ def test_h_recurrence_range():
     assert (lhs, rhs) == (1, 2)
     # checked against the bare recurrence (numerator 1), the table fails there first
     with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(1, 1\)"):
-        _check_expansion(table, {(0, 0): 1}, 12, 12)
+        list(_check_expansion("h", table.columns, {(0, 0): 1}, 12, 12))
 
 
 _NUMERATORS = {"h": {(0, 0): 1, (1, 1): -1}, "b": {(0, 0): 1}}
@@ -120,10 +120,10 @@ _NUMERATORS = {"h": {(0, 0): 1, (1, 1): -1}, "b": {(0, 0): 1}}
 def test_three_term_check_names_a_corrupted_cell(cell):
     """One wrong cell, on an edge (x = 0 or y = 0), at the origin or inside, is the first failure."""
     kind, x, y = cell
-    values = dict((h_table if kind == "h" else b_table)(8, 8).values)
-    values[x, y] += 1
+    columns = (h_table if kind == "h" else b_table)(8, 8).columns
+    columns[x][y] += 1
     with pytest.raises(ConsistencyError, match=rf"{kind} recurrence failed at \({x}, {y}\)$"):
-        _check_expansion(CountTable(kind, values), _NUMERATORS[kind], 8, 8)
+        list(_check_expansion(kind, columns, _NUMERATORS[kind], 8, 8))
 
 
 def test_tables_name_every_corrupted_cell(monkeypatch):
@@ -132,14 +132,34 @@ def test_tables_name_every_corrupted_cell(monkeypatch):
     for build, kind in ((h_table, "h"), (b_table, "b")):
         for cell in itertools.product(range(7), repeat=2):
             def corrupted(spec, cell=cell):
-                counts = real(spec)
-                counts[cell] -= 1
-                return counts
+                for x, column in enumerate(real(spec)):
+                    if x == cell[0]:
+                        column[cell[1]] -= 1  # one cell of a yielded column
+                    yield column
 
             monkeypatch.setattr(counting_module, "spec_counts", corrupted)
             x, y = cell
             with pytest.raises(ConsistencyError, match=rf"{kind} recurrence failed at \({x}, {y}\)$"):
                 build(6, 6)
+
+
+def test_tables_stop_at_the_first_wrong_column(monkeypatch):
+    """Each DP column is checked as it arrives: a wrong cell in column 2 raises
+    before the DP is asked for column 3."""
+    real = counting_module.spec_counts
+    asked = []
+
+    def corrupted(spec):
+        for x, column in enumerate(real(spec)):
+            if x == 2:
+                column[3] += 1
+            yield column
+            asked.append(x + 1)  # the consumer came back for column x + 1
+
+    monkeypatch.setattr(counting_module, "spec_counts", corrupted)
+    with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(2, 3\)$"):
+        h_table(6, 6)
+    assert asked == [1, 2]
 
 
 def test_b_values():
@@ -328,11 +348,11 @@ def test_term_walks_match_fresh_binomial_sums_at_large_corners():
 
 
 def test_count_table_conventions():
-    table = CountTable(kind="h", values={(0, 0): 1})
+    table = CountTable("h", [[1]])
     assert table[-1, 0] == 0
     assert table[0, -3] == 0
     assert table[0, 0] == 1
-    with pytest.raises(KeyError):
+    with pytest.raises(IndexError):
         table[1, 1]
 
 
@@ -393,7 +413,8 @@ def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, 
         first_step=first,
         last_step=last,
     )
-    counts = spec_counts(spec)
-    assert set(counts) == {(x, y) for x in range(n + 1) for y in range(m + 1)}
-    for (x, y), value in counts.items():
-        assert value == count_bruteforce(dataclasses.replace(spec, target=(x, y))), (x, y)
+    columns = list(spec_counts(spec))
+    assert len(columns) == n + 1 and all(len(column) == m + 1 for column in columns)
+    for x, column in enumerate(columns):
+        for y, value in enumerate(column):
+            assert value == count_bruteforce(dataclasses.replace(spec, target=(x, y))), (x, y)

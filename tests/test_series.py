@@ -75,6 +75,11 @@ def test_powerseries_truncate_and_validation():
         s.truncate(5)
     with pytest.raises(ValueError):
         PowerSeries(())
+    assert PowerSeries((1, 2.0)).coeffs == (1, 2)  # an integral float is its integer
+    with pytest.raises(ValueError, match="integers"):
+        PowerSeries((1, 2.5))  # not truncated to (1, 2)
+    with pytest.raises(ValueError, match="integers"):
+        s + 0.5  # a constant operand is checked the same way
     with pytest.raises(ValueError):
         s**-1
 
@@ -224,8 +229,8 @@ def test_series_count_region_paths_by_last_step(k):
     n_max = 25
     triple = assemble_triple(k, n_max)
     for name, last in (("f", None), ("fd", "D"), ("fe", "E")):
-        counts = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
-        got = [counts[n, k * n] for n in range(n_max + 1)]
+        columns = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
+        got = [column[k * n] for n, column in enumerate(columns)]
         assert got == list(getattr(triple, name).coeffs), name
 
 
