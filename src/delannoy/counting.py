@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from functools import partial, reduce
+from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -105,26 +106,17 @@ def _matcher(patterns: frozenset[str]):
     return step
 
 
-def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
-    """The family's size at every corner (x, y) <= spec.target, as if it were
-    the target, by a transfer-matrix DP (Stanley, EC1 4.7) compiled from spec:
-    columns x = 0..n in turn, each a list over y = 0..m, computed as asked for.
-
-    A state is a reachable triple: the matcher states of ``forbidden`` and of
-    ``forbidden_aug`` (after the augmented path's leading E), and the last
-    step when ``last_step`` is set.  The region prunes cells, ``first_step``
-    the moves out of the empty word; an accepted state matches ``last_step``
-    and survives the augmented path's closing N.  A column holds one list over
-    y per state: an E or D move reads only column x - 1, so it is one
-    whole-column add from the region's first cell; N moves take one pass up.
-    """
-    n, m = spec.target
+def _automaton(spec: PathFamilySpec) -> tuple[int, list[tuple[int, str, int]], list[int]]:
+    """spec's transfer matrix: its state count, its moves (source, step, target)
+    and its accepting states.  A state is a reachable triple: the matcher states
+    of ``forbidden`` and ``forbidden_aug`` (after the augmented path's leading E)
+    and the last step if ``last_step`` is set; under ``first_step`` the empty word
+    has a state of its own, 0 with last step "", whose moves it filters.  An
+    accepted state matches ``last_step`` and survives the augmented path's closing N."""
     fwd, aug = _matcher(spec.forbidden), _matcher(spec.forbidden_aug)
-    # under a first-step filter the empty word has a state of its own (last step "")
     start = ("", aug("", "E"), "" if spec.first_step else None)
     index = {start: 0} if start[1] is not None else {}
-    moves: dict[str, list[tuple[int, int]]] = {c: [] for c in _DISPLACEMENT}
-    todo = list(index)
+    moves, todo = [], list(index)
     while todo:
         state = todo.pop()
         for c in spec.first_step if state[2] == "" else "END":
@@ -134,29 +126,46 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
             if succ not in index:
                 index[succ] = len(index)
                 todo.append(succ)
-            moves[c].append((index[state], index[succ]))
-    accept = [i for (_, s2, last), i in index.items()
-              if last == spec.last_step and aug(s2, "N") is not None]
-    k = spec.region_k
-    left: list[list[int]] = []  # column x - 1: one list over y per state
+            moves.append((index[state], c, index[succ]))
+    return len(index), moves, [i for (_, s2, last), i in index.items()
+                               if last == spec.last_step and aug(s2, "N") is not None]
+
+
+def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
+    """The family's size at every corner (x, y) <= spec.target, as if it were
+    the target, by a transfer-matrix DP (Stanley, EC1 4.7) over ``_automaton``:
+    columns x = 0..n in turn, each a list over y = 0..m, computed as asked for.
+
+    Inside, a column is a list over y per state (None if all zero), and each move
+    one whole-column copy or add from the region's first cell: E and D shift column
+    x - 1 up 0 and 1 cells, N this column up 1.  Runs of N settle, so the only N
+    cycles are self-loops, each a running sum; states run so other N moves go forward."""
+    n, m = spec.target
+    size, moves, accept = _automaton(spec)
+    after = {s: t for s, c, t in moves if c == "N"}  # at most one N move out of a state
+    def settle(s: int) -> int:  # N moves from s to a state with none or an N self-loop
+        for run in range(size):
+            if after.get(s, s) == s:
+                return run
+            s = after[s]
+        raise ConsistencyError(f"N moves of {spec} cycle through more than one state")
+    plan = [(t, [(s, c) for s, c, u in moves if u == t and (s, c) != (t, "N")], after.get(t) == t)
+            for t in sorted(range(size), key=settle, reverse=True)]
+    k, left = spec.region_k or 0, [None] * size  # left: column x - 1
     for x in range(n + 1):
-        lo = 0 if k is None else k * x  # the column's first cell in the region, if any
-        col = [[0] * (m + 1) for _ in index]
-        if x == 0 and index:
-            col[0][0] = 1
-        elif x:  # E and D read only column x - 1: whole-column adds from lo (D from y >= 1)
-            for c, dy in (("E", 0), ("D", 1)):
-                a = max(lo, dy)
-                for s, t in moves[c]:
-                    if live[s]:  # most lists of a many-state automaton are zero
-                        col[t][a:] = map(add, col[t][a:], left[s][a - dy:m + 1 - dy])
-        pairs = [(col[s], col[t]) for s, t in moves["N"]]
-        for y in range(max(lo, 1), m + 1):  # N reads y - 1 of this column: one pass up
-            for src, dst in pairs:
-                dst[y] += src[y - 1]
-        live = list(map(any, col))  # zero lists add nothing: the sum and column x + 1 skip them
-        # a zero list heads the zip so a column with no live accepting state counts 0
-        yield list(map(sum, zip([0] * (m + 1), *(col[i] for i in accept if live[i]))))
+        lo, col = min(k * x, m + 1), [None] * size  # lo: the column's first cell in the region
+        for t, sources, loop in plan:
+            acc = [1] + [0] * m if x == t == 0 else None
+            for s, c in sources:  # the first live source is copied, the others added
+                src, dy = (col if c == "N" else left)[s], _DISPLACEMENT[c][1]
+                if src is not None:
+                    a, part = max(lo, dy), src[max(lo, dy) - dy:m + 1 - dy]
+                    acc = [0] * a + part if acc is None else [*acc[:a], *map(add, acc[a:], part)]
+            if acc is not None and loop:
+                acc[lo:] = accumulate(acc[lo:])
+            col[t] = acc if acc is not None and any(acc) else None
+        live = [col[i] for i in accept if col[i]]  # one sum of the live accepting lists
+        yield list(reduce(partial(map, add), live)) if live else [0] * (m + 1)
         left = col
 
 
@@ -165,15 +174,16 @@ def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iter
 
     The denominator gives c(x,y) = num(x,y) + c(x-1,y) + c(x,y-1) - c(x-2,y-2)
     with c = 0 at negative indices, so column x is the running sum up the
-    column of num's column x, plus column x - 1, minus column x - 2 shifted
-    up by two.  Numerator keys outside the grid are ignored.
-    """
+    column of column x - 1 minus column x - 2 shifted up by two, with num's
+    few cells in column x added first.  Keys outside the grid are ignored."""
     back2 = back1 = [0] * (m + 1)
     for x in range(n + 1):
-        terms = map(numerator.get, zip(repeat(x), range(m + 1)), repeat(0))
-        col = list(accumulate(map(sub, map(add, terms, back1), [0, 0] + back2)))
-        yield col
-        back2, back1 = back1, col
+        col = list(map(sub, back1, [0, 0] + back2))
+        for (i, y), c in numerator.items():  # a numerator has a few cells
+            if i == x and 0 <= y <= m:
+                col[y] += c
+        back2, back1 = back1, list(accumulate(col))
+        yield back1
 
 
 def _check_expansion(kind: str, columns: Iterable[list[int]], numerator: Mapping,

@@ -378,6 +378,36 @@ def test_expand_bivariate_edges():
         expand_bivariate({(0, 0): 1}, -1)
 
 
+def _naive_expansion(numerator, order):
+    """numerator / (1 - x - y + x^2 y^2), one cell at a time from the recurrence."""
+    c = {}
+    for x in range(order + 1):
+        for y in range(order + 1):
+            c[x, y] = (numerator.get((x, y), 0) + c.get((x - 1, y), 0) + c.get((x, y - 1), 0)
+                       - c.get((x - 2, y - 2), 0))
+    return c
+
+
+_OFF_GRID = {(-1, 0): 3, (0, -1): 5, (-2, -2): 7, (2, 0): -2, (0, 2): 4, (3, 3): 9}
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(-3, 7), st.integers(-3, 7)), st.integers(-9, 9), max_size=8
+    ),
+    st.integers(0, 5),
+)
+# keys left of, below and beyond the grid at orders 0, 1 and 2
+@example({(0, 0): 1, **_OFF_GRID}, 0)
+@example({(1, 0): 2, (1, 1): -1, **_OFF_GRID}, 1)
+@example({(0, 1): 1, (2, 2): 6, **_OFF_GRID}, 2)
+@example({(-1, 1): 1, (1, -1): 1, (5, 0): 1}, 2)
+def test_expand_bivariate_matches_the_naive_recurrence(numerator, order):
+    """Sparse numerators, keys outside the grid (negative, past n, past m) ignored."""
+    assert expand_bivariate(numerator, order) == _naive_expansion(numerator, order)
+
+
 @settings(deadline=None)
 @given(
     st.integers(0, 4),
@@ -403,6 +433,15 @@ def test_expand_bivariate_edges():
 @example(3, 5, frozenset(), frozenset({"EN"}), 1, "D", None)
 @example(3, 5, frozenset({"NE", "EN"}), frozenset(), 1, None, "E")
 @example(2, 5, frozenset({"NE", "EN"}), frozenset(), 2, None, "D")
+# an N chain "" -> N -> NN -> NNN into a state with an N self-loop
+@example(3, 6, frozenset({"NNNE"}), frozenset(), None, None, None)
+# the empty matcher state takes N moves from E, from EE and from itself
+@example(4, 5, frozenset({"EEE"}), frozenset(), None, None, None)
+# first and last step N inside a region
+@example(3, 6, frozenset(), frozenset(), 1, "N", "N")
+@example(2, 6, frozenset({"NNN"}), frozenset(), 2, "N", "N")
+# a dead start state: every column is zero, in a region and under step filters too
+@example(3, 4, frozenset(), frozenset({"E"}), 1, "N", "N")
 def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, first, last):
     """Random specs: the compiled DP's count at every corner equals the walk's."""
     spec = PathFamilySpec(
@@ -418,3 +457,42 @@ def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, 
     for x, column in enumerate(columns):
         for y, value in enumerate(column):
             assert value == count_bruteforce(dataclasses.replace(spec, target=(x, y))), (x, y)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.frozensets(st.text(alphabet="NED", min_size=1, max_size=6), max_size=4),
+    st.frozensets(patterns, max_size=3),
+    steps,
+    steps,
+)
+@example(frozenset({"NNNE"}), frozenset(), None, None)
+@example(frozenset({"NNNNNN", "ENNN"}), frozenset({"NNE"}), "N", "N")
+def test_compiled_n_moves_cycle_only_through_self_loops(forbidden, forbidden_aug, first, last):
+    """Each compiled state has at most one N move out, and following N moves
+    from any state reaches a state with none or an N self-loop."""
+    spec = PathFamilySpec(
+        target=(0, 0), forbidden=forbidden, forbidden_aug=forbidden_aug,
+        first_step=first, last_step=last,
+    )
+    size, moves, _ = counting_module._automaton(spec)
+    after = {}
+    for s, c, t in moves:
+        if c == "N":
+            assert s not in after, f"state {s} has two N moves"
+            after[s] = t
+    for start in range(size):
+        seen, s = {start}, start
+        while after.get(s, s) != s:
+            s = after[s]
+            assert s not in seen, f"an N cycle through {sorted(seen)}"
+            seen.add(s)
+
+
+def test_spec_counts_refuses_a_longer_n_cycle(monkeypatch):
+    """An N cycle through two states cannot be a running sum; the DP raises
+    instead of counting."""
+    moves = [(0, "N", 1), (1, "N", 0), (0, "E", 0)]
+    monkeypatch.setattr(counting_module, "_automaton", lambda spec: (2, moves, [0]))
+    with pytest.raises(ConsistencyError, match="cycle"):
+        list(spec_counts(PathFamilySpec(target=(2, 2))))
