@@ -107,50 +107,36 @@ def verify_bijection(
     codomain: PathFamilySpec,
     domain_exclude: PathFamilySpec | None = None,
 ) -> BijectionReport:
-    """Apply ``mapping`` to every domain path and test bijectivity exhaustively.
+    """Map each domain path once and test bijectivity exhaustively.
 
     ``domain_exclude`` drops the paths that also satisfy a second spec, so set
     differences such as "all EENN-avoiders minus those whose augmented path
-    avoids EENN" are expressible.  Every failure records a witness: a
-    (reason, paths...) tuple.
+    avoids EENN" are expressible.  Each image is tested with ``satisfies`` and
+    keeps its first preimage; every failure records a (reason, paths...)
+    witness, and each verdict holds exactly when it has none.  ``satisfies``
+    judges images and exclusions apart from the walker, and ``ok`` also needs
+    equal sizes, the only check on a codomain walk that drops an image.
     """
-    domain_paths = [
-        p
-        for p in enumerate_paths(domain)
-        if domain_exclude is None or not satisfies(p, domain_exclude)
-    ]
-    codomain_paths = list(enumerate_paths(codomain))
-    counterexamples: list[tuple] = []
-
-    images = []
-    images_in_codomain = True
-    for p in domain_paths:
+    outside: list[tuple] = []
+    collisions: list[tuple] = []
+    preimage: dict[LatticePath, LatticePath] = {}
+    for p in enumerate_paths(domain):
+        if domain_exclude is not None and satisfies(p, domain_exclude):
+            continue
         q = mapping(p)
-        images.append(q)
         if not satisfies(q, codomain):
-            images_in_codomain = False
-            counterexamples.append(("image outside codomain", p, q))
-
-    seen: dict[LatticePath, LatticePath] = {}
-    injective = True
-    for p, q in zip(domain_paths, images):
-        if q in seen:
-            injective = False
-            counterexamples.append(("collision", seen[q], p, q))
+            outside.append(("image outside codomain", p, q))
+        if q in preimage:
+            collisions.append(("collision", preimage[q], p, q))
         else:
-            seen[q] = p
-
-    image_set = set(images)
-    missed = [q for q in codomain_paths if q not in image_set]
-    surjective = not missed
-    for q in missed:
-        counterexamples.append(("not hit", q))
-
+            preimage[q] = p
+    codomain_paths = list(enumerate_paths(codomain))
+    missed = [("not hit", q) for q in codomain_paths if q not in preimage]
     return BijectionReport(
-        domain_size=len(domain_paths),
+        domain_size=len(preimage) + len(collisions),  # a first preimage or a collision
         codomain_size=len(codomain_paths),
-        injective=injective,
-        surjective=surjective,
-        images_in_codomain=images_in_codomain,
-        counterexamples=tuple(counterexamples),
+        injective=not collisions,
+        surjective=not missed,
+        images_in_codomain=not outside,
+        counterexamples=tuple(outside + collisions + missed),
     )

@@ -343,7 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=int,
             default=DEFAULT_BUDGET,
-            help="refuse enumerations and conjecture checks estimated above this (default 10^7)",
+            help="refuse work estimated above this (default 10^7): the walks of enum and of count "
+            "--method bruteforce|all, each domain and codomain walk of verify, conjecture's partner table",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

@@ -22,6 +22,7 @@ class Step(str, enum.Enum):
     N = "N"
     E = "E"
     D = "D"
+    __str__ = str.__str__  # str(Step.D) is "D", so a member works wherever its letter does
 
     @property
     def displacement(self) -> Point:
@@ -132,7 +133,7 @@ def _as_patterns(patterns: Iterable[str]) -> frozenset[str]:
 def _as_step(value: str | Step | None) -> str | None:
     if value is None:
         return None
-    c = value.value if isinstance(value, Step) else str(value)
+    c = str(value)
     if c not in _DISPLACEMENT:
         raise ValueError(f"invalid step {value!r}")
     return c

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delannoy import (
+    BijectionReport,
     LatticePath,
     PathFamilySpec,
     delta_map,
@@ -19,6 +20,7 @@ from delannoy import (
     tau_map,
     verify_bijection,
 )
+from delannoy import bijections
 
 ne_words = st.text(alphabet="NE", max_size=20)
 
@@ -188,3 +190,110 @@ def test_verify_bijection_detects_collisions():
     assert any(item[0] == "collision" for item in report.counterexamples)
     assert report.domain_size == 3
     assert report.codomain_size == 1
+
+
+def _multi_pass_verify(domain, mapping, codomain, domain_exclude=None):
+    """The verifier as it was written in separate passes: the reference."""
+    domain_paths = [
+        p
+        for p in enumerate_paths(domain)
+        if domain_exclude is None or not satisfies(p, domain_exclude)
+    ]
+    codomain_paths = list(enumerate_paths(codomain))
+    counterexamples = []
+    images = []
+    images_in_codomain = True
+    for p in domain_paths:
+        q = mapping(p)
+        images.append(q)
+        if not satisfies(q, codomain):
+            images_in_codomain = False
+            counterexamples.append(("image outside codomain", p, q))
+    seen = {}
+    injective = True
+    for p, q in zip(domain_paths, images):
+        if q in seen:
+            injective = False
+            counterexamples.append(("collision", seen[q], p, q))
+        else:
+            seen[q] = p
+    image_set = set(images)
+    missed = [q for q in codomain_paths if q not in image_set]
+    for q in missed:
+        counterexamples.append(("not hit", q))
+    return BijectionReport(
+        domain_size=len(domain_paths),
+        codomain_size=len(codomain_paths),
+        injective=injective,
+        surjective=not missed,
+        images_in_codomain=images_in_codomain,
+        counterexamples=tuple(counterexamples),
+    )
+
+
+# maps that never raise, so every spec pair yields a report
+_TOTAL_MAPS = {
+    "identity": lambda p: p,
+    "drop first": lambda p: LatticePath(start=p.start, word=p.word[1:]),
+    "reverse": lambda p: LatticePath(start=p.start, word=p.word[::-1]),
+    "empty": lambda p: LatticePath(word=""),
+}
+
+_small_patterns = st.frozensets(st.text(alphabet="NED", min_size=1, max_size=3), max_size=2)
+
+
+@st.composite
+def _small_specs(draw):
+    return PathFamilySpec(
+        target=(draw(st.integers(0, 3)), draw(st.integers(0, 3))),
+        forbidden=draw(_small_patterns),
+        forbidden_aug=draw(_small_patterns),
+        region_k=draw(st.none() | st.integers(1, 2)),
+    )
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    _small_specs(),
+    st.sampled_from(sorted(_TOTAL_MAPS)),
+    _small_specs(),
+    st.none() | _small_specs(),
+)
+def test_one_pass_verifier_matches_the_multi_pass_reference(domain, name, codomain, exclude):
+    mapping = _TOTAL_MAPS[name]
+    got = verify_bijection(domain, mapping, codomain, domain_exclude=exclude)
+    assert got == _multi_pass_verify(domain, mapping, codomain, domain_exclude=exclude)
+
+
+def test_theorem_maps_match_the_multi_pass_reference():
+    for n in range(5):
+        for m in range(5):
+            a = PathFamilySpec(target=(n, m), forbidden_aug=frozenset({"D", "EENN"}))
+            h = PathFamilySpec(target=(n, m), forbidden=frozenset({"NE", "EN"}))
+            cases = [(a, pi_map, h, None), (h, delta_map, a, None)]
+            if n and m:
+                b = PathFamilySpec(target=(n, m), forbidden=frozenset({"D", "EENN"}))
+                b_lower = PathFamilySpec(target=(n - 1, m - 1), forbidden=frozenset({"D", "EENN"}))
+                cases.append((b, tau_map, b_lower, a))
+            for domain, mapping, codomain, exclude in cases:
+                for f in (mapping, *_TOTAL_MAPS.values()):
+                    got = verify_bijection(domain, f, codomain, domain_exclude=exclude)
+                    want = _multi_pass_verify(domain, f, codomain, domain_exclude=exclude)
+                    assert got == want, (n, m, mapping.__name__)
+
+
+def test_size_check_catches_a_codomain_walk_that_drops_an_image(monkeypatch):
+    a = PathFamilySpec(target=(3, 3), forbidden_aug=frozenset({"D", "EENN"}))
+    h = PathFamilySpec(target=(3, 3), forbidden=frozenset({"NE", "EN"}))
+    walk = bijections.enumerate_paths
+
+    def drop_first_codomain_path(spec):
+        paths = list(walk(spec))
+        return paths[1:] if spec == h else paths
+
+    monkeypatch.setattr(bijections, "enumerate_paths", drop_first_codomain_path)
+    report = verify_bijection(a, pi_map, h)
+    # the dropped path is still an image and still in h, so only the sizes disagree
+    assert report.injective and report.surjective and report.images_in_codomain
+    assert report.domain_size == report.codomain_size + 1
+    assert not report.ok

@@ -39,6 +39,25 @@ def test_step_values():
     assert len(Step) == 3
 
 
+@pytest.mark.parametrize("step", list(Step))
+def test_step_member_works_wherever_its_letter_does(step):
+    letter = step.value
+    assert str(step) == letter
+    for word in ("", "N", "E", "D", "NE", "ED"):
+        assert contains_pattern(parse_path(word), step) == (letter in word)
+    for n, m in ((1, 1), (2, 3)):
+        for field, as_member, as_letter in (
+            ("forbidden", {step}, {letter}),
+            ("forbidden_aug", {step}, {letter}),
+            ("first_step", step, letter),
+            ("last_step", step, letter),
+        ):
+            spec = PathFamilySpec(target=(n, m), **{field: as_member})
+            want = PathFamilySpec(target=(n, m), **{field: as_letter})
+            assert spec == want
+            assert count_bruteforce(spec) == count_bruteforce(want)
+
+
 def test_parse_and_endpoint():
     path = parse_path("ENDENNDDEN")
     assert path.start == (0, 0)
