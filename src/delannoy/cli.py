@@ -15,7 +15,7 @@ import sys
 from typing import Any, Iterable
 
 from . import bijections, conjectures, counting, series
-from .errors import ConsistencyError
+from .errors import ConsistencyError, agree
 from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_paths, parse_path
 
 DEFAULT_BUDGET = 10**7
@@ -66,10 +66,6 @@ def _guard_budget(sizes: Iterable[int], budget: int) -> None:
             )
 
 
-def _guard_spec(spec: PathFamilySpec, budget: int) -> None:
-    _guard_budget([_walk_size(spec, budget)], budget)
-
-
 def _parse_patterns(text: str | None) -> frozenset[str]:
     if not text:
         return frozenset()
@@ -91,7 +87,7 @@ def _emit(args: argparse.Namespace, parameters: dict, result: Any, lines: list[s
 def _count_one(family: str, method: str, n: int, m: int, k: int, budget: int) -> int:
     if method == "bruteforce":
         spec = counting.family_spec(family, n, m, k)
-        _guard_spec(spec, budget)
+        _guard_budget([_walk_size(spec, budget)], budget)
         return count_bruteforce(spec)
     return counting.FAMILIES[family][2][method](n, m, k)
 
@@ -116,10 +112,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
 
     routes = methods if method == "all" else (method,)
     values = {name: _count_one(family, name, n, m, k, args.budget) for name in routes}
-    distinct = set(values.values())
-    if len(distinct) != 1:
-        raise ConsistencyError(f"count {family} ({n}, {m}): methods disagree: {values}")
-    value = distinct.pop()
+    value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
     if method == "all":
         lines += [f"  {name}: {v}" for name, v in values.items()]
@@ -141,7 +134,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         first_step=args.first,
         last_step=args.last,
     )
-    _guard_spec(spec, args.budget)
+    _guard_budget([_walk_size(spec, args.budget)], args.budget)
     words = [path.word for path in enumerate_paths(spec)]
     parameters = {
         "target": list(spec.target),
@@ -181,14 +174,9 @@ def _cmd_series(args: argparse.Namespace) -> int:
     triple = series.assemble_triple(args.k, args.order)
     if args.check_closed:
         closed = series.closed_k1 if args.k == 1 else series.closed_k2  # k = 2 has no FE form
-        for i in range(args.order + 1):
-            expected = closed(i)
-            got = (triple.f[i], triple.fd[i], triple.fe[i])[: len(expected)]
-            if expected != got:
-                raise ConsistencyError(
-                    f"closed form mismatch for k={args.k} at x^{i}: "
-                    f"series {got}, closed {expected}"
-                )
+        terms = [closed(i) for i in range(args.order + 1)]
+        got = [(triple.f[i], triple.fd[i], triple.fe[i])[: len(want)] for i, want in enumerate(terms)]
+        agree(f"closed form for k={args.k}", {"series": got, "closed": terms}, "x^{}".format)
     available = {"F": triple.f, "FD": triple.fd, "FE": triple.fe}
     chosen = available if args.which == "all" else {args.which: available[args.which]}
     coeffs = {name: list(s.coeffs) for name, s in chosen.items()}
@@ -303,8 +291,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
         "verdict": report.verdict,
     }
     _emit(args, parameters, result, lines)
-    if not report.verdict:
-        raise ConsistencyError(f"conjecture {args.which} counts disagree: {report.rows}")
+    sizes, paths, partners = map(list, zip(*report.rows))
+    agree(f"conjecture {args.which}", {"paths": paths, "partner": partners}, lambda i: f"n={sizes[i]}")
     return 0
 
 

@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import add, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import ConsistencyError
+from .errors import ConsistencyError, agree
 from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner
 
 
@@ -69,9 +69,7 @@ def delannoy_count(n: int, m: int) -> int:
         (n - d) * (m - d), (n + m - d) * (d + 1)), f"{what} by diagonals")
     by_binomials = _term_walk(
         1, last, lambda j: (2 * (n - j) * (m - j), (j + 1) ** 2), f"{what} by binomials")
-    if by_diagonals != by_binomials:
-        raise ConsistencyError(f"{what}: {by_diagonals} != {by_binomials}")
-    return by_diagonals
+    return agree(what, {"by diagonals": by_diagonals, "by binomials": by_binomials})
 
 
 @dataclass(frozen=True)
@@ -252,11 +250,7 @@ def a_count(n: int, m: int) -> int:
     """
     _check_corner(n, m)
     bt = b_table(n, m)
-    value = bt[n, m] - bt[n - 1, m - 1]
-    h = h_dp(n, m)
-    if value != h:
-        raise ConsistencyError(f"a_count({n}, {m}) = {value} != h = {h}")
-    return value
+    return agree(f"a_count({n}, {m})", {"b table": bt[n, m] - bt[n - 1, m - 1], "h dp": h_dp(n, m)})
 
 
 def schroeder_count(n: int, k: int = 1) -> int:
@@ -287,16 +281,14 @@ def schroeder_rect_count(n: int, m: int, k: int = 1) -> int:
     w, what = m - k * n + 1, f"schroeder_rect_count({n}, {m}, k={k})"
     # term d = w multinomial(m+n-d; m-d, n-d, d) / (m-d+1), from w C(m+n, n) / (m+1)
     first = _exact(w * math.comb(m + n, n), m + 1, f"{what} form 1 term 0")
-    form1 = _term_walk(first, n, lambda d: (
-        (n - d) * (m - d + 1), (m + n - d) * (d + 1)), f"{what} form 1")
+    forms = {"form 1": _term_walk(first, n, lambda d: (
+        (n - d) * (m - d + 1), (m + n - d) * (d + 1)), f"{what} form 1")}
     if n >= 1:
         # term i = C(m, i) C(n, i+1) 2^(i+1) for i < n
         transform = _term_walk(2 * n, n - 1, lambda i: (
             2 * (m - i) * (n - i - 1), (i + 1) * (i + 2)), f"{what} form 2")
-        form2 = _exact(w * transform, n, f"{what} form 2")
-        if form1 != form2:
-            raise ConsistencyError(f"{what}: {form1} != {form2}")
-    return form1
+        forms["form 2"] = _exact(w * transform, n, f"{what} form 2")
+    return agree(what, forms)
 
 
 def expand_bivariate(numerator: Mapping[tuple[int, int], int],

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .counting import _exact, _term_walk, binomial
-from .errors import ConsistencyError
+from .errors import agree
 from .paths import _as_slope
 
 
@@ -169,8 +169,8 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     one_fd = 1 + fd
     low = one_fd ** (k - 1)
     f = one_fd * one_fd - x * (low * one_fd)
-    if x * low * f != fd:
-        raise ConsistencyError(f"fixed point for k={k} not stable at order {order}")
+    agree(f"fixed point for k={k} not stable to order {order}",
+          {"solved": list(fd.coeffs), "substituted": list((x * low * f).coeffs)}, "x^{}".format)
     return SeriesTriple(k=k, f=f, fd=fd, fe=f - one_fd)
 
 
