@@ -2,9 +2,10 @@
 
 Subcommands: count, enum, map, series, verify, conjecture, bfile.
 Exit codes: 0 success, 1 usage or precondition error, 2 internal cross-check
-mismatch (two routes that must agree disagreed).  JSON output is a single
-record with fixed key order (command, parameters, result); it holds no
-timing, so the same command prints the same bytes on every run.
+mismatch (two routes that must agree disagreed).  Stdout carries a result
+only on exit 0; every check runs before anything is printed.  JSON output is
+a single record with fixed key order (command, parameters, result); it holds
+no timing, so the same command prints the same bytes on every run.
 """
 
 from __future__ import annotations
@@ -19,12 +20,6 @@ from .errors import ConsistencyError, agree
 from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_paths, parse_path
 
 DEFAULT_BUDGET = 10**7
-
-# b-file sequence -> the series coefficients it prints, as (series, k);
-# h-diag is read off the h table's checked columns instead.
-_BFILE_SEQUENCES = {
-    "h-diag": None, "F1": ("f", 1), "FD2": ("fd", 2), "FE1": ("fe", 1), "FD3": ("fd", 3),
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,27 +67,10 @@ def _parse_patterns(text: str | None) -> frozenset[str]:
     return frozenset(part for part in text.split(",") if part)
 
 
-def _emit(args: argparse.Namespace, parameters: dict, result: Any, lines: list[str]) -> None:
-    if getattr(args, "format", "text") == "json":
-        record = {"command": args.command, "parameters": parameters, "result": result}
-        print(json.dumps(record, indent=2))
-    else:
-        for line in lines:
-            print(line)
-
-
 # ---------- count ----------
 
 
-def _count_one(family: str, method: str, n: int, m: int, k: int, budget: int) -> int:
-    if method == "bruteforce":
-        spec = counting.family_spec(family, n, m, k)
-        _guard_budget([_walk_size(spec, budget)], budget)
-        return count_bruteforce(spec)
-    return counting.FAMILIES[family][2][method](n, m, k)
-
-
-def _cmd_count(args: argparse.Namespace) -> int:
+def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     family = args.family
     if args.k is not None and not counting.FAMILIES[family][1]:
         raise ValueError(f"family {family} has no region; --k applies to schroeder and schroeder-rect")
@@ -105,27 +83,32 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if args.m is None:
             raise ValueError(f"family {family} needs both corner coordinates n and m")
         n, m = args.n, args.m
-    methods = (*counting.FAMILIES[family][2], "bruteforce")
-    method = args.method or methods[0]
-    if method != "all" and method not in methods:
+
+    def bruteforce(n: int, m: int, k: int) -> int:
+        spec = counting.family_spec(family, n, m, k)
+        _guard_budget([_walk_size(spec, args.budget)], args.budget)
+        return count_bruteforce(spec)
+
+    routes = {**counting.FAMILIES[family][2], "bruteforce": bruteforce}
+    method = args.method or next(iter(routes))
+    if method != "all" and method not in routes:
         raise ValueError(f"method {method} is not available for family {family}")
 
-    routes = methods if method == "all" else (method,)
-    values = {name: _count_one(family, name, n, m, k, args.budget) for name in routes}
+    chosen = routes if method == "all" else {method: routes[method]}
+    values = {name: route(n, m, k) for name, route in chosen.items()}
     value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
     if method == "all":
         lines += [f"  {name}: {v}" for name, v in values.items()]
 
     parameters = {"family": family, "n": args.n, "m": args.m, "k": k, "method": method}
-    _emit(args, parameters, {"value": value, "methods": values}, lines)
-    return 0
+    return parameters, {"value": value, "methods": values}, lines
 
 
 # ---------- enum ----------
 
 
-def _cmd_enum(args: argparse.Namespace) -> int:
+def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     spec = PathFamilySpec(
         target=tuple(args.target),
         forbidden=_parse_patterns(args.avoid),
@@ -144,9 +127,7 @@ def _cmd_enum(args: argparse.Namespace) -> int:
         "first": spec.first_step,
         "last": spec.last_step,
     }
-    result = {"count": len(words), "words": words}
-    _emit(args, parameters, result, words)
-    return 0
+    return parameters, {"count": len(words), "words": words}, words
 
 
 # ---------- map ----------
@@ -156,19 +137,18 @@ def _cmd_enum(args: argparse.Namespace) -> int:
 _MAPS = {"pi": "pi_map", "delta": "delta_map", "tau": "tau_map", "tau-inv": "tau_inverse"}
 
 
-def _cmd_map(args: argparse.Namespace) -> int:
+def _cmd_map(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     path = parse_path(args.word)
     image = getattr(bijections, _MAPS[args.name])(path)
     parameters = {"name": args.name, "word": args.word}
     result = {"word": image.word, "start": list(image.start), "end": list(image.end)}
-    _emit(args, parameters, result, [image.word])
-    return 0
+    return parameters, result, [image.word]
 
 
 # ---------- series ----------
 
 
-def _cmd_series(args: argparse.Namespace) -> int:
+def _cmd_series(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.check_closed and args.k >= 3:
         raise ValueError(f"no closed form is available for k = {args.k}")
     triple = series.assemble_triple(args.k, args.order)
@@ -186,8 +166,7 @@ def _cmd_series(args: argparse.Namespace) -> int:
         lines = [" ".join(str(c) for c in coeffs[args.which])]
     parameters = {"which": args.which, "k": args.k, "order": args.order, "check_closed": bool(args.check_closed)}
     result = {"coefficients": coeffs, "checked_against_closed_form": bool(args.check_closed)}
-    _emit(args, parameters, result, lines)
-    return 0
+    return parameters, result, lines
 
 
 # ---------- verify ----------
@@ -219,7 +198,7 @@ def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
                 )
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     max_m = args.max_n if args.max_m is None else args.max_m
     if args.max_n < 0 or max_m < 0:
         raise ValueError("bounds must be nonnegative")
@@ -263,14 +242,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ]
     lines.append(f"all {len(rows)} cases ok")
     parameters = {"target": args.target, "max_n": args.max_n, "max_m": max_m, "k": args.k}
-    _emit(args, parameters, {"cases": rows, "ok": True}, lines)
-    return 0
+    return parameters, {"cases": rows, "ok": True}, lines
 
 
 # ---------- conjecture ----------
 
 
-def _cmd_conjecture(args: argparse.Namespace) -> int:
+def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
     # The path side is one polynomial DP.  Each partner is one table for every
@@ -280,40 +258,42 @@ def _cmd_conjecture(args: argparse.Namespace) -> int:
     _guard_budget([(n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120], args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
-    lines = [
-        f"n={n}: paths {lhs}, partner {rhs} {'==' if lhs == rhs else '!='}"
-        for n, lhs, rhs in report.rows
-    ]
-    lines.append("agree" if report.verdict else "DISAGREE")
+    sizes, paths, partners = map(list, zip(*report.rows))
+    agree(f"conjecture {args.which}", {"paths": paths, "partner": partners}, lambda i: f"n={sizes[i]}")
+    lines = [f"n={n}: paths {lhs}, partner {rhs} ==" for n, lhs, rhs in report.rows]
+    lines.append("agree")
     parameters = {"which": args.which, "max_n": args.max_n}
     result = {
         "rows": [{"n": n, "paths": lhs, "partner": rhs} for n, lhs, rhs in report.rows],
         "verdict": report.verdict,
     }
-    _emit(args, parameters, result, lines)
-    sizes, paths, partners = map(list, zip(*report.rows))
-    agree(f"conjecture {args.which}", {"paths": paths, "partner": partners}, lambda i: f"n={sizes[i]}")
-    return 0
+    return parameters, result, lines
 
 
 # ---------- bfile ----------
 
 
+# b-file sequence -> its values at 0..order: the diagonal of the h table, read
+# off its checked columns, or the coefficients of a region series.
+_BFILE_SEQUENCES = {
+    "h-diag": lambda order: [column[n] for n, column in enumerate(counting.table_columns("h", order, order))],
+    "F1": lambda order: list(series.assemble_triple(1, order).f.coeffs),
+    "FD2": lambda order: list(series.assemble_triple(2, order).fd.coeffs),
+    "FE1": lambda order: list(series.assemble_triple(1, order).fe.coeffs),
+    "FD3": lambda order: list(series.assemble_triple(3, order).fd.coeffs),
+}
+
+
 def _bfile_values(sequence: str, order: int) -> list[int]:
-    if _BFILE_SEQUENCES[sequence] is None:
-        return [column[n] for n, column in enumerate(counting.table_columns("h", order, order))]
-    which, k = _BFILE_SEQUENCES[sequence]
-    triple = series.assemble_triple(k, order)
-    return list(getattr(triple, which).coeffs)
+    return _BFILE_SEQUENCES[sequence](order)
 
 
-def _cmd_bfile(args: argparse.Namespace) -> int:
+def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
     values = _bfile_values(args.sequence, args.order)
-    for n, value in enumerate(values):
-        print(f"{n} {value}")
-    return 0
+    parameters = {"sequence": args.sequence, "order": args.order}
+    return parameters, values, [f"{n} {value}" for n, value in enumerate(values)]
 
 
 # ---------- parser ----------
@@ -407,13 +387,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        parameters, result, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return 2
+    if getattr(args, "format", "text") == "json":  # bfile has no --format
+        print(json.dumps({"command": args.command, "parameters": parameters, "result": result}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0
 
 
 if __name__ == "__main__":

@@ -13,6 +13,17 @@ class ConsistencyError(RuntimeError):
     """
 
 
+def _show(value: Any) -> str:
+    """str(value), or for an int too long for str (past sys.get_int_max_str_digits(),
+    Python 3.11+), its size in bits, also inside a tuple: a disagreement is always reported."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, tuple):
+            return f"({', '.join(map(_show, value))})"
+        return f"{'-' if value < 0 else ''}<int of {value.bit_length()} bits>"
+
+
 def agree(what: str, routes: Mapping[str, Any], index: Callable[[int], str] = "[{}]".format) -> Any:
     """The value that every route gave (routes: route name -> value), or else ConsistencyError
     "<what>: v1 != v2 ... (route1, route2 ... disagree)".  A list is a sequence: the message
@@ -25,4 +36,4 @@ def agree(what: str, routes: Mapping[str, Any], index: Callable[[int], str] = "[
         i = next(i for i in range(max(map(len, values)))
                  if any(v[i:i + 1] != values[0][i:i + 1] for v in values))
         what, values = f"{what} at {index(i)}", [v[i] if i < len(v) else "(missing)" for v in values]
-    raise ConsistencyError(f"{what}: {' != '.join(map(str, values))} ({', '.join(routes)} disagree)")
+    raise ConsistencyError(f"{what}: {' != '.join(map(_show, values))} ({', '.join(routes)} disagree)")

@@ -136,6 +136,13 @@ def test_enum_empty_path(capsys):
     assert (code, out) == (0, "\n")
 
 
+def test_enum_with_no_path_prints_no_line(capsys):
+    argv = ("enum", "--target", "1", "1", "--avoid", "E,N,D")
+    assert run(capsys, *argv) == (0, "", "")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0 and json.loads(out)["result"] == {"count": 0, "words": []}
+
+
 def test_enum_region_and_aug(capsys):
     code, out, _ = run(capsys, "enum", "--target", "1", "2", "--region", "1")
     assert code == 0
@@ -444,6 +451,26 @@ def test_no_arguments_is_usage_error(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# One mutation per command that cross-checks routes: (module, attribute, mutant, argv).
+EXIT_2_MUTATIONS = {
+    "count": (counting_module, "h_closed", lambda n, m: 999, ("count", "h", "2", "2", "--method", "all")),
+    "series": (series_module, "closed_k1", lambda n: (0, 0, 0),
+               ("series", "F", "--k", "1", "--order", "4", "--check-closed")),
+    "verify": (bijections_module, "pi_map", lambda p: p, ("verify", "pi", "--max-n", "2", "--max-m", "2")),
+    "conjecture": (conjectures_module, "inversion_102_counts", lambda n_max: [0] * (n_max + 1),
+                   ("conjecture", "2", "--max-n", "3")),
+}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("module,name,mutant,argv", EXIT_2_MUTATIONS.values(), ids=EXIT_2_MUTATIONS)
+def test_exit_2_prints_nothing_on_stdout(capsys, monkeypatch, module, name, mutant, argv, fmt):
+    monkeypatch.setattr(module, name, mutant)
+    code, out, err = run(capsys, *argv, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err.startswith("cross-check mismatch:")
 
 
 def test_json_key_order_is_stable(capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -60,6 +62,26 @@ def test_agree_refuses_lists_of_unequal_length(prefix, extra, names, data):
         agree("what", routes)
     shown = [extra[0] if name == longer else "(missing)" for name in names]
     assert str(raised.value) == _message(f"what at [{len(prefix)}]", shown, names)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="Python 3.10 has no int -> str limit")
+def test_agree_shows_an_int_too_long_for_str_by_its_size():
+    """Under Python's default 4300-digit limit on int -> str, which only the CLI lifts,
+    agree still raises ConsistencyError naming every route."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for routes, message in (
+            ({"a": 10**5000, "b": 0, "c": -(10**5000)},
+             "x: <int of 16610 bits> != 0 != -<int of 16610 bits> (a, b, c disagree)"),
+            ({"series": [(1, 2), (3, 10**5000)], "closed": [(1, 2), (3, 4)]},
+             "x at [1]: (3, <int of 16610 bits>) != (3, 4) (series, closed disagree)"),
+        ):
+            with pytest.raises(ConsistencyError) as raised:
+                agree("x", routes)
+            assert str(raised.value) == message
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def _cli(*argv):
