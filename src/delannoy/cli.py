@@ -5,7 +5,9 @@ Exit codes: 0 success, 1 usage or precondition error, 2 internal cross-check
 mismatch (two routes that must agree disagreed).  Stdout carries a result
 only on exit 0; every check runs before anything is printed.  JSON output is
 a single record with fixed key order (command, parameters, result); it holds
-no timing, so the same command prints the same bytes on every run.
+no timing, so the same command prints the same bytes on every run.  --budget
+charges a brute-force walk the exact number of prefixes it visits, counted before
+the walk: enum --target 2 300 visits 18,271,603 and is refused at once.
 """
 
 from __future__ import annotations
@@ -30,41 +32,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _walk_size(spec: PathFamilySpec, budget: int) -> int:
-    """Size of the walk to spec's target: every Delannoy path, or every path
-    in y >= kx when k is set.  A spec that forbids D, plainly or in the
-    augmented path, walks only the North-East paths: the walker never tries a
-    D step for it.
-
-    The North-East count C(n+m, n), or in the region the k-ballot count
-    (m-kn+1) C(m+n, n) / (m+1), written as a difference of binomials, is a
-    cheap lower bound on the full walk; one that already exceeds ``budget``
-    is returned in place of the exact count.
-    """
-    (n, m), k = spec.target, spec.region_k
-    lower = counting.binomial(n + m, n) - (k or 0) * counting.binomial(n + m, n - 1)
-    if "D" in spec.forbidden | spec.forbidden_aug:
-        return max(lower, 0)  # no path reaches a corner below the region
-    if lower > budget:
-        return lower
-    return counting.delannoy_count(n, m) if k is None else counting.schroeder_rect_count(n, m, k)
+def _guard_budget(cost: int, budget: int) -> None:
+    if cost > budget:
+        raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
 
 
-def _guard_budget(sizes: Iterable[int], budget: int) -> None:
-    # stops at the first partial sum past the budget
+def _guard_walks(specs: Iterable[PathFamilySpec], budget: int) -> None:
+    """Charge every walk the prefixes it pushes; stop at the first partial sum past the budget."""
     total = 0
-    for size in sizes:
-        total += size
-        if total > budget:
-            raise ValueError(
-                f"size exceeds budget {budget}; reduce the bounds or raise --budget"
-            )
-
-
-def _parse_patterns(text: str | None) -> frozenset[str]:
-    if not text:
-        return frozenset()
-    return frozenset(part for part in text.split(",") if part)
+    for spec in specs:
+        total += counting.prefix_count(spec, budget - total)
+        _guard_budget(total, budget)
 
 
 # ---------- count ----------
@@ -86,7 +64,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     def bruteforce(n: int, m: int, k: int) -> int:
         spec = counting.family_spec(family, n, m, k)
-        _guard_budget([_walk_size(spec, args.budget)], args.budget)
+        _guard_walks([spec], args.budget)
         return count_bruteforce(spec)
 
     routes = {**counting.FAMILIES[family][2], "bruteforce": bruteforce}
@@ -111,13 +89,13 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     spec = PathFamilySpec(
         target=tuple(args.target),
-        forbidden=_parse_patterns(args.avoid),
-        forbidden_aug=_parse_patterns(args.avoid_aug),
+        forbidden=filter(None, args.avoid.split(",")),  # comma-separated, empty parts dropped
+        forbidden_aug=filter(None, args.avoid_aug.split(",")),
         region_k=args.region,
         first_step=args.first,
         last_step=args.last,
     )
-    _guard_budget([_walk_size(spec, args.budget)], args.budget)
+    _guard_walks([spec], args.budget)
     words = [path.word for path in enumerate_paths(spec)]
     parameters = {
         "target": list(spec.target),
@@ -204,12 +182,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError("bounds must be nonnegative")
     if args.target == "tau" and args.k is not None:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
-    _guard_budget(  # each case walks its domain and its codomain
-        (
-            _walk_size(spec, args.budget)
-            for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
-            for spec in (domain, codomain)
-        ),
+    _guard_walks(  # each case walks its domain and its codomain
+        (spec for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
+         for spec in (domain, codomain)),
         args.budget,
     )
 
@@ -219,14 +194,8 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         args.target, args.max_n, max_m, args.k
     ):
         report = bijections.verify_bijection(domain, mapping, codomain, domain_exclude=exclude)
-        rows.append(
-            {
-                "case": label,
-                "ok": report.ok,
-                "domain_size": report.domain_size,
-                "codomain_size": report.codomain_size,
-            }
-        )
+        rows.append({"case": label, "ok": report.ok, "domain_size": report.domain_size,
+                     "codomain_size": report.codomain_size})
         if not report.ok:
             witnesses = "; ".join(
                 " ".join(p.word or "(empty)" if isinstance(p, LatticePath) else str(p) for p in item)
@@ -236,6 +205,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     if failures:
         raise ConsistencyError(f"{len(failures)} case(s) failed: " + " | ".join(failures))
+    if not rows:  # only tau, whose cases start at (1, 1), can miss every corner
+        shift = _VERIFY_CASES[args.target][2]
+        raise ValueError(f"no case to verify: {args.target}'s first corner is ({shift}, {shift})")
     lines = [
         f"{row['case']}: ok (domain {row['domain_size']}, codomain {row['codomain_size']})"
         for row in rows
@@ -255,7 +227,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     # size: conjecture 1's has (n+2)^2 cells, and conjecture 2's makes at most
     # (n+2)^4 (n+7) / 120 big-int multiply-adds (see inversion_102_counts).
     n = args.max_n
-    _guard_budget([(n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120], args.budget)
+    _guard_budget((n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120, args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
@@ -306,13 +278,18 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p: argparse.ArgumentParser, choices=("text", "json")) -> None:
         p.add_argument("--format", choices=list(choices), default=choices[0])
 
+    def budget(text: str) -> int:  # argparse's "invalid budget value" names it
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be nonnegative, got {text}")
+        return int(text)
+
     def add_budget(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--budget",
-            type=int,
+            type=budget,
             default=DEFAULT_BUDGET,
-            help="refuse work estimated above this (default 10^7): the walks of enum and of count "
-            "--method bruteforce|all, each domain and codomain walk of verify, conjecture's partner table",
+            help="refuse work above this (default 10^7): each walk of enum, count --method "
+            "bruteforce|all and verify costs the prefixes it visits, conjecture its partner table",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

@@ -12,7 +12,7 @@ its first term and steps to each next term by the exact term ratio
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate
 from operator import add, sub
@@ -129,17 +129,13 @@ def _automaton(spec: PathFamilySpec) -> tuple[int, list[tuple[int, str, int]], l
                                if last == spec.last_step and aug(s2, "N") is not None]
 
 
-def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
-    """The family's size at every corner (x, y) <= spec.target, as if it were
-    the target, by a transfer-matrix DP (Stanley, EC1 4.7) over ``_automaton``:
-    columns x = 0..n in turn, each a list over y = 0..m, computed as asked for.
-
-    Inside, a column is a list over y per state (None if all zero), and each move
-    one whole-column copy or add from the region's first cell: E and D shift column
-    x - 1 up 0 and 1 cells, N this column up 1.  Runs of N settle, so the only N
-    cycles are self-loops, each a running sum; states run so other N moves go forward."""
-    n, m = spec.target
-    size, moves, accept = _automaton(spec)
+def _state_columns(spec: PathFamilySpec, automaton) -> Iterator[list[list[int] | None]]:
+    """Columns x = 0..n of the DP over ``automaton``, spec's ``_automaton``: per state,
+    the counts of its words at y = 0..m, or None if all are zero.  Each move is one
+    whole-column copy or add from the region's first cell: E and D shift column x - 1
+    up 0 and 1 cells, N this column up 1.  Runs of N settle, so the only N cycles are
+    self-loops, each a running sum; states run so other N moves go forward."""
+    (n, m), (size, moves, _) = spec.target, automaton
     after = {s: t for s, c, t in moves if c == "N"}  # at most one N move out of a state
     def settle(s: int) -> int:  # N moves from s to a state with none or an N self-loop
         for run in range(size):
@@ -162,9 +158,34 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
             if acc is not None and loop:
                 acc[lo:] = accumulate(acc[lo:])
             col[t] = acc if acc is not None and any(acc) else None
-        live = [col[i] for i in accept if col[i]]  # one sum of the live accepting lists
-        yield list(reduce(partial(map, add), live)) if live else [0] * (m + 1)
+        yield col
         left = col
+
+
+def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
+    """The family's size at every corner (x, y) <= spec.target, as if it were the
+    target, by a transfer-matrix DP (Stanley, EC1 4.7): columns x = 0..n in turn,
+    each a list over y = 0..m that sums the accepting states of ``_state_columns``."""
+    automaton = _automaton(spec)
+    for col in _state_columns(spec, automaton):
+        live = [col[i] for i in automaton[2] if col[i]]  # one sum of the live accepting lists
+        yield list(reduce(partial(map, add), live)) if live else [0] * (spec.target[1] + 1)
+
+
+def prefix_count(spec: PathFamilySpec, budget: int) -> int:
+    """The number of prefixes ``paths._member_words`` pushes for spec, the empty
+    word included: every state of ``_state_columns`` at every cell, ``last_step``
+    dropped.  Past ``budget`` it stops and returns a number above it: a grid of more
+    cells, before any column is computed, or the first running total past it."""
+    total, cells = 0, (spec.target[0] + 1) * (spec.target[1] + 1)
+    if cells > budget:
+        return cells
+    spec = replace(spec, last_step=None)
+    for col in _state_columns(spec, _automaton(spec)):
+        total += sum(map(sum, filter(None, col)))
+        if total > budget:
+            break
+    return total
 
 
 def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iterator[list[int]]:

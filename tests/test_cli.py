@@ -12,7 +12,7 @@ import delannoy.bijections as bijections_module
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
-from delannoy import assemble_triple, h_closed, schroeder_rect_count
+from delannoy import assemble_triple, h_closed
 from delannoy.cli import _bfile_values, main
 
 
@@ -167,28 +167,41 @@ def test_long_walks_have_no_depth_limit(capsys):
     assert (code, out) == (0, "1\n")
 
 
-def test_budget_boundary_is_the_unpruned_walk_size(capsys):
-    # D(8, 8) = 265729 paths to (8, 8)
-    assert run(capsys, "enum", "--target", "8", "8", "--budget", "265729")[0] == 0
-    code, _, err = run(capsys, "enum", "--target", "8", "8", "--budget", "265728")
+def test_budget_boundary_is_the_walk_prefix_count(capsys):
+    # the walk to (8, 8) pushes 731281 prefixes, the empty word included
+    assert run(capsys, "enum", "--target", "8", "8", "--budget", "731281")[0] == 0
+    code, _, err = run(capsys, "enum", "--target", "8", "8", "--budget", "731280")
     assert code == 1 and "budget" in err
-    size = schroeder_rect_count(3, 6, 2)
     region = ("enum", "--target", "3", "6", "--region", "2", "--budget")
-    assert run(capsys, *region, str(size))[0] == 0
-    code, _, err = run(capsys, *region, str(size - 1))
+    assert run(capsys, *region, "179")[0] == 0
+    code, _, err = run(capsys, *region, "178")
     assert code == 1 and "budget" in err
 
 
-def test_budget_charges_a_d_free_walk_its_north_east_paths(capsys):
-    # the walker never tries a D step here, so the charge is C(16, 8) = 12870
-    assert run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "12870")[0] == 0
-    code, _, err = run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "12869")
+def test_budget_charges_a_d_free_walk_its_prefixes(capsys):
+    # the walker never tries a D step here: 48619 North-East prefixes
+    assert run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "48619")[0] == 0
+    code, _, err = run(capsys, "enum", "--target", "8", "8", "--avoid", "D", "--budget", "48618")
     assert code == 1 and "budget" in err
     # the same for D forbidden in the augmented path, and in the region y >= 2x
     aug = ("enum", "--target", "3", "6", "--avoid-aug", "D", "--region", "2", "--budget")
-    ballot = (6 - 2 * 3 + 1) * 84 // 7  # (m-kn+1) C(m+n, n) / (m+1)
-    assert run(capsys, *aug, str(ballot))[0] == 0
-    assert run(capsys, *aug, str(ballot - 1))[0] == 1
+    assert run(capsys, *aug, "56")[0] == 0
+    assert run(capsys, *aug, "55")[0] == 1
+
+
+def test_a_walk_the_family_size_undercharged_is_refused(capsys):
+    # D(2, 300) = 180601 paths, but the walk pushes 18271603 prefixes
+    code, out, err = run(capsys, "enum", "--target", "2", "300")
+    assert (code, out) == (1, "") and "budget" in err
+
+
+def test_negative_budget_is_a_usage_error(capsys):
+    for argv in (("enum", "--target", "1", "1"), ("verify", "pi"), ("conjecture", "1")):
+        code, out, err = run(capsys, *argv, "--budget", "-5")
+        assert (code, out) == (1, "") and "--budget" in err
+    assert run(capsys, "enum", "--target", "1", "1", "--budget", "0")[0] == 1  # the root is one prefix
+    assert run(capsys, "enum", "--target", "1", "1", "--budget", "1")[0] == 1
+    assert run(capsys, "enum", "--target", "0", "0", "--budget", "1") == (0, "\n", "")
 
 
 def test_huge_enumeration_is_refused_without_counting_it(capsys):
@@ -308,10 +321,10 @@ def test_verify_usage_errors(capsys):
 
 def test_verify_budget_charges_each_walk(capsys, monkeypatch):
     """Each case is charged its domain and codomain walks, before any is walked."""
-    # tau at (1,1) walks b, which forbids D: the 2 North-East paths to (1,1)
-    # and the 1 path to the shifted corner (0,0)
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "3")[0] == 0
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "2")[0] == 1
+    # tau at (1,1) walks b, which forbids D: the 5 prefixes of the walk to
+    # (1,1) and the 1 of the walk to the shifted corner (0,0)
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "6")[0] == 0
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "5")[0] == 1
     walked = []
     monkeypatch.setattr(bijections_module, "verify_bijection", lambda *a, **kw: walked.append(a))
     code, _, err = run(capsys, "verify", "all", "--max-n", "12", "--k", "3")
@@ -319,10 +332,27 @@ def test_verify_budget_charges_each_walk(capsys, monkeypatch):
     assert walked == []
 
 
+def test_verify_all_to_ten_passes_the_default_budget(capsys, monkeypatch):
+    # its walks push 3711199 prefixes in all; the walks themselves are stubbed out
+    report = bijections_module.BijectionReport(1, 1, True, True, True)
+    monkeypatch.setattr(bijections_module, "verify_bijection", lambda *a, **kw: report)
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "10")
+    assert code == 0 and out.endswith("all 342 cases ok\n")
+    code, _, err = run(capsys, "verify", "all", "--max-n", "10", "--budget", "3711198")
+    assert code == 1 and "budget" in err
+
+
 def test_verify_all_to_nine_fits_the_default_budget(capsys):
-    # a walk of a (augmented D avoided) is charged its North-East paths only
     code, out, _ = run(capsys, "verify", "all", "--max-n", "9")
     assert code == 0 and out.endswith("all 281 cases ok\n")
+
+
+def test_verify_grid_with_no_case_is_refused(capsys):
+    # tau's cases start at corner (1, 1); a grid without it verifies nothing
+    for bounds in (("--max-n", "0"), ("--max-n", "3", "--max-m", "0")):
+        code, out, err = run(capsys, "verify", "tau", *bounds)
+        assert (code, out) == (1, "") and "(1, 1)" in err
+    assert run(capsys, "verify", "all", "--max-n", "0")[0] == 0  # pi and delta at (0, 0)
 
 
 def test_verify_mutation_fails_with_witnesses(capsys, monkeypatch):

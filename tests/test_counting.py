@@ -496,3 +496,74 @@ def test_spec_counts_refuses_a_longer_n_cycle(monkeypatch):
     monkeypatch.setattr(counting_module, "_automaton", lambda spec: (2, moves, [0]))
     with pytest.raises(ConsistencyError, match="cycle"):
         list(spec_counts(PathFamilySpec(target=(2, 2))))
+
+
+def _walk_prefixes(spec):
+    """The walker's prefixes, counted level by level over words: a word is kept
+    when it ends in the target's box, every vertex lies in the region, it has no
+    forbidden factor, "E" + word has no forbidden augmented factor, and its first
+    step matches.  Each condition holds for a word's prefixes too, so only kept
+    words are extended."""
+    n, m = spec.target
+    k = spec.region_k
+
+    def kept(word):
+        x = y = 0
+        for c in word:
+            x, y = x + (c != "N"), y + (c != "E")
+            if x > n or y > m or (k is not None and y < k * x):
+                return False
+        return (
+            not any(p in word for p in spec.forbidden)
+            and not any(p in "E" + word for p in spec.forbidden_aug)
+            and (not word or spec.first_step in (None, word[0]))
+        )
+
+    total, level = 0, [""]
+    while level:
+        level = [word for word in level if kept(word)]
+        total += len(level)
+        level = [word + c for word in level for c in "NED"]
+    return total
+
+
+@settings(deadline=None, max_examples=250)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.frozensets(patterns, max_size=3),
+    st.frozensets(patterns, max_size=3),
+    st.sampled_from([None, 1, 2, 3]),
+    steps,
+    steps,
+)
+@example(2, 2, frozenset(), frozenset({"E"}), None, None, None)  # no prefix, not even the root
+@example(3, 3, frozenset(), frozenset({"E", "DD"}), 1, "N", None)
+@example(3, 2, frozenset(), frozenset(), 1, None, None)  # the target lies below the region
+@example(5, 4, frozenset({"NN"}), frozenset({"EN"}), 2, "D", "E")
+@example(5, 5, frozenset({"NE", "EN"}), frozenset(), None, None, "N")
+def test_prefix_count_is_the_walkers_prefix_count(n, m, forbidden, forbidden_aug, region_k, first, last):
+    """The budget charge of a walk is the number of prefixes it pushes, and a
+    charge one below it is reported as past the budget."""
+    spec = PathFamilySpec(
+        target=(n, m), forbidden=forbidden, forbidden_aug=forbidden_aug,
+        region_k=region_k, first_step=first, last_step=last,
+    )
+    want = _walk_prefixes(spec)
+    assert counting_module.prefix_count(spec, 10**9) == want
+    assert counting_module.prefix_count(spec, want - 1) > want - 1
+
+
+def test_prefix_count_refuses_a_large_grid_before_any_column(monkeypatch):
+    monkeypatch.setattr(counting_module, "_state_columns", lambda *a: pytest.fail("a column was computed"))
+    assert counting_module.prefix_count(PathFamilySpec(target=(20000, 20000)), 10**7) > 10**7
+
+
+def test_prefix_count_stops_at_the_first_column_past_the_budget(monkeypatch):
+    columns = []
+    real = counting_module._state_columns
+    monkeypatch.setattr(counting_module, "_state_columns",
+                        lambda *a: (columns.append(col) or col for col in real(*a)))
+    # columns 0 and 1 of the walk to (1450, 1450) hold 1451 and 1451^2 prefixes
+    assert counting_module.prefix_count(PathFamilySpec(target=(1450, 1450)), 10**7) > 10**7
+    assert len(columns) == 3
