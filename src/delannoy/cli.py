@@ -7,7 +7,8 @@ only on exit 0; every check runs before anything is printed.  JSON output is
 a single record with fixed key order (command, parameters, result); it holds
 no timing, so the same command prints the same bytes on every run.  --budget
 charges a brute-force walk the exact number of prefixes it visits, counted before
-the walk: enum --target 2 300 visits 18,271,603 and is refused at once.
+the walk: enum --target 2 300 visits 18,271,603 and is refused at once.  A walk
+whose count needs a table (cells x states) past the budget is refused too.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import accumulate
 from typing import Any, Iterable
 
 from . import bijections, conjectures, counting, series
@@ -32,17 +34,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _guard_budget(cost: int, budget: int) -> None:
-    if cost > budget:
+def _guard_budget(costs: Iterable[int], budget: int) -> None:
+    if any(total > budget for total in accumulate(costs)):  # stops at the first past the budget
         raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
-
-
-def _guard_walks(specs: Iterable[PathFamilySpec], budget: int) -> None:
-    """Charge every walk the prefixes it pushes; stop at the first partial sum past the budget."""
-    total = 0
-    for spec in specs:
-        total += counting.prefix_count(spec, budget - total)
-        _guard_budget(total, budget)
 
 
 # ---------- count ----------
@@ -64,7 +58,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     def bruteforce(n: int, m: int, k: int) -> int:
         spec = counting.family_spec(family, n, m, k)
-        _guard_walks([spec], args.budget)
+        _guard_budget([counting.prefix_count(spec, args.budget)], args.budget)
         return count_bruteforce(spec)
 
     routes = {**counting.FAMILIES[family][2], "bruteforce": bruteforce}
@@ -95,7 +89,7 @@ def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         first_step=args.first,
         last_step=args.last,
     )
-    _guard_walks([spec], args.budget)
+    _guard_budget([counting.prefix_count(spec, args.budget)], args.budget)
     words = [path.word for path in enumerate_paths(spec)]
     parameters = {
         "target": list(spec.target),
@@ -182,9 +176,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError("bounds must be nonnegative")
     if args.target == "tau" and args.k is not None:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
-    _guard_walks(  # each case walks its domain and its codomain
-        (spec for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
-         for spec in (domain, codomain)),
+    if args.target == "tau" and min(args.max_n, max_m) < 1:  # pi and delta start at (0, 0)
+        raise ValueError("no case to verify: tau's first corner is (1, 1)")
+    _guard_budget(  # each case walks its domain and its codomain
+        (
+            counting.prefix_count(spec, args.budget)
+            for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
+            for spec in (domain, codomain)
+        ),
         args.budget,
     )
 
@@ -194,8 +193,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         args.target, args.max_n, max_m, args.k
     ):
         report = bijections.verify_bijection(domain, mapping, codomain, domain_exclude=exclude)
-        rows.append({"case": label, "ok": report.ok, "domain_size": report.domain_size,
-                     "codomain_size": report.codomain_size})
+        rows.append(
+            {
+                "case": label,
+                "ok": report.ok,
+                "domain_size": report.domain_size,
+                "codomain_size": report.codomain_size,
+            }
+        )
         if not report.ok:
             witnesses = "; ".join(
                 " ".join(p.word or "(empty)" if isinstance(p, LatticePath) else str(p) for p in item)
@@ -205,9 +210,6 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     if failures:
         raise ConsistencyError(f"{len(failures)} case(s) failed: " + " | ".join(failures))
-    if not rows:  # only tau, whose cases start at (1, 1), can miss every corner
-        shift = _VERIFY_CASES[args.target][2]
-        raise ValueError(f"no case to verify: {args.target}'s first corner is ({shift}, {shift})")
     lines = [
         f"{row['case']}: ok (domain {row['domain_size']}, codomain {row['codomain_size']})"
         for row in rows
@@ -227,7 +229,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     # size: conjecture 1's has (n+2)^2 cells, and conjecture 2's makes at most
     # (n+2)^4 (n+7) / 120 big-int multiply-adds (see inversion_102_counts).
     n = args.max_n
-    _guard_budget((n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120, args.budget)
+    _guard_budget([(n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120], args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
@@ -289,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
             type=budget,
             default=DEFAULT_BUDGET,
             help="refuse work above this (default 10^7): each walk of enum, count --method "
-            "bruteforce|all and verify costs the prefixes it visits, conjecture its partner table",
+            "bruteforce|all and verify costs the prefixes it visits (its count's table of cells x "
+            "states must fit too), conjecture its partner table",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

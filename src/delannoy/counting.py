@@ -90,18 +90,18 @@ def _matcher(patterns: frozenset[str]):
     """The Aho-Corasick automaton of ``patterns`` as a transition function.
 
     A state is the longest suffix of the word read that is a proper prefix of
-    a pattern; a step that completes a pattern has no successor (None).
+    a pattern; a step that completes a pattern has no successor (None).  The
+    table is filled shortest state first: a state's link, its longest proper
+    suffix that is a state, is shorter, so the link's row is already known.
     """
     prefixes = {p[:i] for p in patterns for i in range(len(p))} | {""}
-    ends = tuple(patterns)
-
-    def step(state: str, c: str) -> str | None:
-        word = state + c  # every occurrence ending at this step is a suffix of word
-        if word.endswith(ends):
-            return None
-        return next(word[i:] for i in range(len(word) + 1) if word[i:] in prefixes)
-
-    return step
+    link, go = {}, {(None, c): None for c in "END"}  # a state whose link is None holds a pattern
+    for s in sorted(prefixes, key=len):
+        link[s] = go[link[s[:-1]], s[-1]] if len(s) > 1 else ""
+        for c in "END":
+            word, via = s + c, go[link[s], c] if s else ""
+            go[s, c] = None if word in patterns or via is None else word if word in prefixes else via
+    return lambda state, c: go[state, c]
 
 
 def _automaton(spec: PathFamilySpec) -> tuple[int, list[tuple[int, str, int]], list[int]]:
@@ -137,14 +137,16 @@ def _state_columns(spec: PathFamilySpec, automaton) -> Iterator[list[list[int] |
     self-loops, each a running sum; states run so other N moves go forward."""
     (n, m), (size, moves, _) = spec.target, automaton
     after = {s: t for s, c, t in moves if c == "N"}  # at most one N move out of a state
-    def settle(s: int) -> int:  # N moves from s to a state with none or an N self-loop
-        for run in range(size):
-            if after.get(s, s) == s:
-                return run
-            s = after[s]
+    into = [[] for _ in range(size)]  # the moves into each state, its N self-loop aside
+    for s, c, t in moves:
+        if (s, c) != (t, "N"):
+            into[t].append((s, c))
+    order = [t for t in range(size) if after.get(t, t) == t]  # no N move out but a self-loop
+    for t in order:  # then, back along N moves, the states whose runs of N settle there
+        order += [s for s, c in into[t] if c == "N"]
+    if len(order) < size:
         raise ConsistencyError(f"N moves of {spec} cycle through more than one state")
-    plan = [(t, [(s, c) for s, c, u in moves if u == t and (s, c) != (t, "N")], after.get(t) == t)
-            for t in sorted(range(size), key=settle, reverse=True)]
+    plan = [(t, into[t], after.get(t) == t) for t in reversed(order)]
     k, left = spec.region_k or 0, [None] * size  # left: column x - 1
     for x in range(n + 1):
         lo, col = min(k * x, m + 1), [None] * size  # lo: the column's first cell in the region
@@ -175,12 +177,19 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
 def prefix_count(spec: PathFamilySpec, budget: int) -> int:
     """The number of prefixes ``paths._member_words`` pushes for spec, the empty
     word included: every state of ``_state_columns`` at every cell, ``last_step``
-    dropped.  Past ``budget`` it stops and returns a number above it: a grid of more
-    cells, before any column is computed, or the first running total past it."""
-    total, cells = 0, (spec.target[0] + 1) * (spec.target[1] + 1)
-    if cells > budget:
-        return cells
-    spec = replace(spec, last_step=None)
+    dropped, and patterns longer than "E" plus the longest word dropped, as they
+    never occur.  Past ``budget`` it stops and returns a number above it: before
+    anything is built, the count's table, cells x a bound on the states, if that
+    is past ``budget``; else the first running total, column by column, past it."""
+    n, m = spec.target
+    longest = n + m + 1
+    spec = replace(spec, forbidden={p for p in spec.forbidden if len(p) <= longest},
+                   forbidden_aug={p for p in spec.forbidden_aug if len(p) <= longest}, last_step=None)
+    # a matcher has at most 1 + its patterns' total length states; first_step adds the root's own
+    states = (1 + sum(map(len, spec.forbidden))) * (1 + sum(map(len, spec.forbidden_aug)))
+    total, table = 0, (n + 1) * (m + 1) * (states + (spec.first_step is not None))
+    if table > budget:
+        return table
     for col in _state_columns(spec, _automaton(spec)):
         total += sum(map(sum, filter(None, col)))
         if total > budget:

@@ -195,6 +195,21 @@ def test_a_walk_the_family_size_undercharged_is_refused(capsys):
     assert (code, out) == (1, "") and "budget" in err
 
 
+def test_a_count_whose_table_exceeds_the_budget_is_refused(capsys):
+    # 10^7 cells x 21 states; the walk would push a few hundred prefixes
+    code, out, err = run(capsys, "enum", "--target", "1", "4999999", "--avoid", "N" * 20)
+    assert (code, out) == (1, "") and "budget" in err
+    # a grid of more cells than the budget is refused, whatever the walk prunes
+    code, out, err = run(capsys, "enum", "--target", "0", "10000000", "--avoid", "NN")
+    assert (code, out) == (1, "") and "budget" in err
+
+
+def test_a_pattern_longer_than_any_word_costs_nothing(capsys):
+    plain = run(capsys, "enum", "--target", "1", "1")
+    assert plain[0] == 0
+    assert run(capsys, "enum", "--target", "1", "1", "--avoid", "N" * 5000) == plain
+
+
 def test_negative_budget_is_a_usage_error(capsys):
     for argv in (("enum", "--target", "1", "1"), ("verify", "pi"), ("conjecture", "1")):
         code, out, err = run(capsys, *argv, "--budget", "-5")
@@ -322,9 +337,11 @@ def test_verify_usage_errors(capsys):
 def test_verify_budget_charges_each_walk(capsys, monkeypatch):
     """Each case is charged its domain and codomain walks, before any is walked."""
     # tau at (1,1) walks b, which forbids D: the 5 prefixes of the walk to
-    # (1,1) and the 1 of the walk to the shifted corner (0,0)
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "6")[0] == 0
-    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "5")[0] == 1
+    # (1,1) and the 1 of the walk to the shifted corner (0,0), 6 in all; but
+    # the count of the first has a table of 4 cells x 2 states (D's matcher;
+    # EENN is longer than any word there), and a table past the budget is refused
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "8")[0] == 0
+    assert run(capsys, "verify", "tau", "--max-n", "1", "--budget", "7")[0] == 1
     walked = []
     monkeypatch.setattr(bijections_module, "verify_bijection", lambda *a, **kw: walked.append(a))
     code, _, err = run(capsys, "verify", "all", "--max-n", "12", "--k", "3")

@@ -498,6 +498,25 @@ def test_spec_counts_refuses_a_longer_n_cycle(monkeypatch):
         list(spec_counts(PathFamilySpec(target=(2, 2))))
 
 
+@settings(max_examples=300)
+@given(st.frozensets(st.text(alphabet="NED", min_size=1, max_size=6), max_size=4),
+       st.text(alphabet="NED", max_size=30))
+@example(frozenset({"N", "ENE"}), "EN")  # a proper prefix of ENE holds the pattern N
+@example(frozenset({"NNNE"}), "NNNNNE")
+def test_matcher_state_is_the_longest_suffix_that_starts_a_pattern(patterns, word):
+    """After each step the state is the longest suffix of the word read that is
+    a proper prefix of a pattern, and None once a pattern has occurred."""
+    step, state = counting_module._matcher(patterns), ""
+    starts = {p[:i] for p in patterns for i in range(len(p))}
+    for i in range(1, len(word) + 1):
+        state = step(state, word[i - 1])
+        read = word[:i]
+        if any(p in read for p in patterns):
+            assert state is None
+            return
+        assert state == next(read[j:] for j in range(i + 1) if read[j:] in starts | {""})
+
+
 def _walk_prefixes(spec):
     """The walker's prefixes, counted level by level over words: a word is kept
     when it ends in the target's box, every vertex lies in the region, it has no
@@ -554,9 +573,42 @@ def test_prefix_count_is_the_walkers_prefix_count(n, m, forbidden, forbidden_aug
     assert counting_module.prefix_count(spec, want - 1) > want - 1
 
 
-def test_prefix_count_refuses_a_large_grid_before_any_column(monkeypatch):
-    monkeypatch.setattr(counting_module, "_state_columns", lambda *a: pytest.fail("a column was computed"))
-    assert counting_module.prefix_count(PathFamilySpec(target=(20000, 20000)), 10**7) > 10**7
+def test_prefix_count_refuses_a_large_table_before_building_it(monkeypatch):
+    """The count's table is cells x a bound on the states; a table past the
+    budget is refused before the automaton is built."""
+    monkeypatch.setattr(counting_module, "_automaton", lambda spec: pytest.fail("the automaton was built"))
+    assert counting_module.prefix_count(PathFamilySpec(target=(20000, 20000)), 10**7) == 20001**2
+    # 10^7 cells x (1 + 20) states, though the walk dies after 20 N steps up each column
+    spec = PathFamilySpec(target=(1, 4999999), forbidden={"N" * 20})
+    assert counting_module.prefix_count(spec, 10**7) == 10**7 * 21
+    # one pattern that fits bounds the states: 5001 cells x 5001 states
+    spec = PathFamilySpec(target=(0, 5000), forbidden={"N" * 5000})
+    assert counting_module.prefix_count(spec, 10**7) == 5001**2
+
+
+def test_prefix_count_drops_patterns_longer_than_any_word():
+    """A pattern longer than "E" plus the longest word never occurs: it adds no
+    state to the count.  Kept, one of 100000 letters would make a table of
+    4 x 100001 cells x states at (1, 1), past a budget of 10."""
+    for spec in (
+        PathFamilySpec(target=(1, 1), forbidden={"N" * 100_000}),
+        PathFamilySpec(target=(1, 1), forbidden_aug={"E" * 100_000, "ENNN"}),
+    ):
+        assert counting_module.prefix_count(spec, 10) == _walk_prefixes(spec) == 6
+    # ENN, "E" plus the word NN, is as long as a pattern that occurs gets: it is
+    # kept, and its table is 3 cells x 4 states
+    spec = PathFamilySpec(target=(0, 2), forbidden_aug={"ENN"})
+    assert counting_module.prefix_count(spec, 12) == _walk_prefixes(spec) == 2
+    assert counting_module.prefix_count(spec, 11) == 12
+
+
+def test_long_patterns_compile_in_time_linear_in_their_prefixes():
+    """Each compiled state is found from its failure link, not by a scan of its
+    suffixes: the 3000 states of one long pattern compile at once."""
+    spec = PathFamilySpec(target=(0, 3000), forbidden={"N" * 3000})
+    assert counting_module._automaton(spec)[0] == 3000
+    # the walk pushes the empty word and N^1..N^2999; N^3000 completes the pattern
+    assert counting_module.prefix_count(spec, 10**7) == 3000
 
 
 def test_prefix_count_stops_at_the_first_column_past_the_budget(monkeypatch):
