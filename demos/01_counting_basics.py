@@ -51,8 +51,9 @@ for n in range(7):
     print("  " + " ".join(f"{h[n, m]:6d}" for m in range(7)))
 print()
 
-# The bare three-term recurrence (numerator 1) holds for h only from (2,2)
-# on; h's generating function has numerator 1 - xy, which corrects (1,1).
+# The bare three-term recurrence (numerator 1) fails for h only at (1,1): it
+# holds along both axes and at (1,2) and (2,1).  h's generating function has
+# numerator 1 - xy, which corrects (1,1).
 lhs = h[1, 1]
 rhs = h[0, 1] + h[1, 0] - h[-1, -1]
 print(f"recurrence probe at (1,1): table value {lhs}, recurrence value {rhs}")

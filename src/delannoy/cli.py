@@ -225,11 +225,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    # The path side is one polynomial DP.  Each partner is one table for every
-    # size: conjecture 1's has (n+2)^2 cells, and conjecture 2's makes at most
-    # (n+2)^4 (n+7) / 120 big-int multiply-adds (see inversion_102_counts).
-    n = args.max_n
-    _guard_budget([(n + 2) ** 2 if args.which == 1 else (n + 2) ** 4 * (n + 7) // 120], args.budget)
+    _guard_budget([conjectures.CONJECTURES[args.which][3](args.max_n)], args.budget)  # charged its partner table
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
@@ -258,14 +254,10 @@ _BFILE_SEQUENCES = {
 }
 
 
-def _bfile_values(sequence: str, order: int) -> list[int]:
-    return _BFILE_SEQUENCES[sequence](order)
-
-
 def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
-    values = _bfile_values(args.sequence, args.order)
+    values = _BFILE_SEQUENCES[args.sequence](args.order)
     parameters = {"sequence": args.sequence, "order": args.order}
     return parameters, values, [f"{n} {value}" for n, value in enumerate(values)]
 

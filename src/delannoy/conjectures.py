@@ -206,19 +206,22 @@ class ConjectureReport:
 
 
 # Conjecture number -> (region slope k, last step of the peak/valley-free
-# paths to (n, kn), partner table: entry n is the partner count at size n).
-# The tables are looked up when called, so rebinding one on the module
-# reaches the check.
-_CONJECTURES = {
-    1: (1, "E", lambda n_max: no_symmetric_peak_counts(n_max + 1)[1:]),
-    2: (2, "D", lambda n_max: inversion_102_counts(n_max)),
+# paths to (n, kn), partner table: entry n is the partner count at size n,
+# the table's cost: its cells or big-int multiply-adds, as its docstring
+# bounds them).  The tables are looked up when called, so rebinding one on
+# the module reaches the check.
+CONJECTURES = {
+    1: (1, "E", lambda n_max: no_symmetric_peak_counts(n_max + 1)[1:],
+        lambda n_max: (n_max + 2) ** 2),
+    2: (2, "D", lambda n_max: inversion_102_counts(n_max),
+        lambda n_max: (n_max + 2) ** 4 * (n_max + 7) // 120),
 }
 
 
 def _check(which: int, n_max: int) -> ConjectureReport:
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    k, last, partner = _CONJECTURES[which]
+    k, last, partner, _ = CONJECTURES[which]
     partners = partner(n_max)
     # one DP: the path count at (n, kn) is read off its column n as it passes
     columns = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))

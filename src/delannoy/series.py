@@ -95,9 +95,6 @@ class PowerSeries:
     def __rsub__(self, other: int) -> "PowerSeries":
         return self._coerce(other, self.order) - self
 
-    def __neg__(self) -> "PowerSeries":
-        return PowerSeries(tuple(-c for c in self.coeffs))
-
     def __mul__(self, other: "PowerSeries | int") -> "PowerSeries":
         if isinstance(other, int):
             return PowerSeries(tuple(other * c for c in self.coeffs))
@@ -187,22 +184,19 @@ def catalan(n: int) -> int:
 
 
 def closed_k1(n: int) -> tuple[int, int, int]:
-    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1: sums over m of catalan(m)
-    times C(n+m, 3m), C(n+m-1, 3m) and C(n+m-1, 3m-1), walked by exact term ratios."""
+    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1: [x^j]F sums catalan(m) C(j+m, 3m)
+    over m, walked by exact term ratios; FD = xF reads it at j = n - 1, and by Pascal's
+    rule FE = (1 - x)F - 1 is their difference, less 1 at n = 0."""
     if n < 0:
         raise ValueError(f"index must be nonnegative, got {n}")
-    what = f"closed_k1({n})"
-    f = _term_walk(1, n // 2, lambda m: (
-        2 * (2 * m + 1) * (n + m + 1) * (n - 2 * m) * (n - 2 * m - 1),
-        (m + 2) * (3 * m + 1) * (3 * m + 2) * (3 * m + 3)), f"{what} F")
-    fd = _term_walk(binomial(n - 1, 0), (n - 1) // 2, lambda m: (
-        2 * (2 * m + 1) * (n + m) * (n - 2 * m - 1) * (n - 2 * m - 2),
-        (m + 2) * (3 * m + 1) * (3 * m + 2) * (3 * m + 3)), f"{what} FD")
-    # FE's sum starts at m = 1, so step i goes from m = i + 1 to m = i + 2
-    fe = _term_walk(binomial(n, 2), n // 2 - 1, lambda i: (
-        2 * (2 * i + 3) * (n + i + 1) * (n - 2 * i - 2) * (n - 2 * i - 3),
-        (i + 3) * (3 * i + 3) * (3 * i + 4) * (3 * i + 5)), f"{what} FE")
-    return f, fd, fe
+
+    def f(j: int, name: str) -> int:  # [x^j]F, 0 at j = -1
+        return _term_walk(binomial(j, 0), j // 2, lambda m: (
+            2 * (2 * m + 1) * (j + m + 1) * (j - 2 * m) * (j - 2 * m - 1),
+            (m + 2) * (3 * m + 1) * (3 * m + 2) * (3 * m + 3)), f"closed_k1({n}) {name}")
+
+    fn, fd = f(n, "F"), f(n - 1, "FD")
+    return fn, fd, fn - fd - (n == 0)
 
 
 def closed_k2(n: int) -> tuple[int, int]:

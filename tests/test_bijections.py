@@ -174,7 +174,7 @@ def test_verify_bijection_reports_failures_with_witnesses():
     domain = PathFamilySpec(target=(1, 1), forbidden_aug=frozenset({"D", "EENN"}))
     codomain = PathFamilySpec(target=(1, 1), forbidden=frozenset({"NE", "EN"}))
     report = verify_bijection(domain, lambda p: p, codomain)  # identity is wrong here
-    assert not report.ok
+    assert not report.ok and not report
     assert report.counterexamples
     reasons = {item[0] for item in report.counterexamples}
     assert "image outside codomain" in reasons

@@ -13,7 +13,7 @@ import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import assemble_triple, h_closed
-from delannoy.cli import _bfile_values, main
+from delannoy.cli import _BFILE_SEQUENCES, main
 
 
 def run(capsys, *argv):
@@ -474,7 +474,7 @@ def test_bfile_h_diag_streams_the_table():
     (order+1)^2 table (1.9 MB under tracemalloc at order 120 when it did)."""
     tracemalloc.start()
     try:
-        values = _bfile_values("h-diag", 120)
+        values = _BFILE_SEQUENCES["h-diag"](120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -49,6 +49,8 @@ def test_inversion_sequences_generator():
     assert list(inversion_sequences(0)) == [()]
     assert list(inversion_sequences(2)) == [(0, 0), (0, 1)]
     assert sum(1 for _ in inversion_sequences(5)) == 120  # n!
+    with pytest.raises(ValueError):
+        inversion_sequences(-1)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -62,6 +62,7 @@ def test_parse_and_endpoint():
     path = parse_path("ENDENNDDEN")
     assert path.start == (0, 0)
     assert path.end == (6, 7)
+    assert len(path) == 10
     assert parse_path("").end == (0, 0)
     assert parse_path("DD").end == (2, 2)
 

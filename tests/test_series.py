@@ -49,7 +49,7 @@ def test_powerseries_basic_arithmetic():
     assert ((1 - x) * (1 + x)).coeffs == (1, 0, -1, 0, 0)
     assert (x * x * x).coeffs == (0, 0, 0, 1, 0)
     assert (3 * x - x).coeffs == (0, 2, 0, 0, 0)
-    assert (-x).coeffs == (0, -1, 0, 0, 0)
+    assert (0 - x).coeffs == (0, -1, 0, 0, 0)
 
 
 def test_powerseries_mixed_orders_truncate_to_smaller():
@@ -141,6 +141,7 @@ def test_closed_k1_matches_series():
     triple = assemble_triple(1, 20)
     for n in range(21):
         assert closed_k1(n) == (triple.f[n], triple.fd[n], triple.fe[n]), n
+        assert all(type(c) is int for c in closed_k1(n)), n  # never a bool, even at n = 0
 
 
 def test_closed_k2_matches_series():
@@ -154,6 +155,8 @@ def test_closed_form_validation():
         closed_k1(-1)
     with pytest.raises(ValueError):
         closed_k2(-2)
+    with pytest.raises(ValueError):
+        radical_check_k1(-1)
 
 
 def test_radical_identity_holds():
