@@ -8,11 +8,12 @@ pinned down by an algebraic fixed-point equation
     FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1)
 
 whose right-hand side at x^n reads only lower coefficients of FD.  So FD is
-solved one coefficient per step, the powers of G = 1 + FD kept by J.C.P.
-Miller's recurrence (Knuth, TAOCP 2, 4.7), then substituted once into the
-equation as the independent check, factored as FD = x G^(k-1) F: its factor
-F = G^2 - x G^k is the full series, and FE = F - G.  Everything is integer
-arithmetic; square roots are never taken.
+solved one coefficient per step, each distinct power of G = 1 + FD kept once
+by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7), then substituted once
+into the equation as the independent check, factored as FD = x G^(k-1) F:
+its factor F = G^2 - x G^k is the full series, and FE = F - G.  A product of
+equal series takes each cross term once.  Everything is integer arithmetic;
+square roots are never taken.
 """
 
 from __future__ import annotations
@@ -101,6 +102,14 @@ class PowerSeries:
         a, b = self._align(other)
         n = len(a) - 1
         out = [0] * (n + 1)
+        if a == b:  # a square: a_i^2 once, and each cross term a_i a_j (i < j) once, doubled
+            for i, ai in enumerate(a[: n // 2 + 1]):
+                if ai:
+                    out[2 * i] += ai * ai
+                    twice = 2 * ai
+                    for j in range(i + 1, n + 1 - i):
+                        out[i + j] += twice * a[j]
+            return PowerSeries(tuple(out))
         for i, ai in enumerate(a):
             if ai == 0:
                 continue
@@ -151,16 +160,20 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     """(F, FD, FE): FD solved online, checked once, and F and FE read off the check.
 
     [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1) with G = 1 + FD, O(order^2) for
-    every k; the check FD = x G^(k-1) F forms F = G^2 - x G^k, and FE = G FD - x G^k = F - G.
+    every k. G^(2k-1) is G at k = 1 and G^(k+1) at k = 2, so each distinct power has one
+    Miller recurrence. The check FD = x G^(k-1) F forms F = G^2 - x G^k, and
+    FE = G FD - x G^k = F - G.
     """
     k = _as_slope(k)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
-    g, p, q = [1], [1], [1]  # G, G^(k+1), G^(2k-1)
+    g, p = [1], [1]  # G, G^(k+1)
+    q = g if k == 1 else p if k == 2 else [1]  # G^(2k-1), its own recurrence from k = 3
     for n in range(1, order + 1):
         g.append(p[n - 1] - (q[n - 2] if n > 1 else 0))
         p.append(_miller_next(g, p, k + 1))
-        q.append(_miller_next(g, q, 2 * k - 1))
+        if k > 2:
+            q.append(_miller_next(g, q, 2 * k - 1))
     fd = PowerSeries((0, *g[1:]))
     x = PowerSeries.x(order)
     one_fd = 1 + fd
@@ -245,12 +258,8 @@ def radical_check_k1(order: int, triple: SeriesTriple | None = None) -> RadicalC
     one_minus_x = 1 - x
     lhs = (one_minus_x**2 - 2 * x * x * f) ** 2
     rhs = one_minus_x**4 - 4 * x * x * one_minus_x
-    pairs = (
-        (lhs, rhs),
-        (fd, x * f),
-        (fe, one_minus_x * f - 1),
-    )
-    for i in range(order + 1):
-        if any(left[i] != right[i] for left, right in pairs):
-            return RadicalCheck(ok=False, first_mismatch=i)
-    return RadicalCheck(ok=True)
+    pairs = ((lhs, rhs), (fd, x * f), (fe, one_minus_x * f - 1))
+    if all(left == right for left, right in pairs):
+        return RadicalCheck(ok=True)
+    return RadicalCheck(ok=False, first_mismatch=next(
+        i for i in range(order + 1) if any(left[i] != right[i] for left, right in pairs)))

@@ -52,6 +52,29 @@ def test_powerseries_basic_arithmetic():
     assert (0 - x).coeffs == (0, -1, 0, 0, 0)
 
 
+def _double_sum(a, b):
+    """The truncated product as the plain convolution: every (i, j) pair, no shortcut."""
+    n = min(len(a), len(b))
+    return tuple(sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n))
+
+
+_coefficient = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_coefficient, min_size=1, max_size=14), st.lists(_coefficient, min_size=1, max_size=14),
+       st.integers(0, 4))
+def test_powerseries_product_is_the_double_sum(a, b, shift):
+    """Squares take each cross term once and every other product skips zeros;
+    both must give the plain convolution, on distinct, equal and shared operands."""
+    s = PowerSeries((0,) * shift + tuple(a))  # leading zeros
+    t = PowerSeries(tuple(b))  # mixed orders truncate to the smaller
+    twin = PowerSeries(tuple(s.coeffs))  # equal to s, not the same object
+    x, one = PowerSeries.x(s.order), PowerSeries.one(s.order)
+    for left, right in ((s, t), (t, s), (s, s), (t, t), (s, twin), (x, x), (one, s), (s, one), (x, s)):
+        assert (left * right).coeffs == _double_sum(left.coeffs, right.coeffs), (left, right)
+
+
 def test_powerseries_mixed_orders_truncate_to_smaller():
     a = PowerSeries((1, 1, 1, 1, 1))
     b = PowerSeries((1, 2))
@@ -150,6 +173,16 @@ def test_closed_k2_matches_series():
         assert closed_k2(n) == (triple.f[n], triple.fd[n]), n
 
 
+def test_closed_forms_match_series_at_every_index_to_order_200():
+    """Every index up to the orders of the `gf_orders` benchmark jobs, where the
+    squares multiply long big integers."""
+    k1, k2 = assemble_triple(1, 200), assemble_triple(2, 200)
+    for n in range(201):
+        assert closed_k1(n) == (k1.f[n], k1.fd[n], k1.fe[n]), n
+        assert closed_k2(n) == (k2.f[n], k2.fd[n]), n
+    assert radical_check_k1(200).ok
+
+
 def test_closed_form_validation():
     with pytest.raises(ValueError):
         closed_k1(-1)
@@ -195,16 +228,33 @@ def test_substitution_identity_for_k2():
     assert substituted == assemble_triple(2, order).fd
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
-def test_assemble_rejects_a_non_fixed_point(monkeypatch, k):
-    # a solve that keeps G^(k+2) where G^(k+1) belongs stays integral and
+# G^(k+1) at every k, and from k = 3 on G^(2k-1), which only there has its own recurrence
+@pytest.mark.parametrize("k,power", [(1, 2), (2, 3), (3, 4), (3, 5), (4, 7)],
+                         ids=["1", "2", "3", "3-G^5", "4-G^7"])
+def test_assemble_rejects_a_non_fixed_point(monkeypatch, k, power):
+    # a solve that keeps G^(power+1) where G^power belongs stays integral and
     # self-consistent, so only the substitution check can catch it
     honest_next = series_module._miller_next
     monkeypatch.setattr(
-        series_module, "_miller_next", lambda g, p, a: honest_next(g, p, a + (a == k + 1))
+        series_module, "_miller_next", lambda g, p, a: honest_next(g, p, a + (a == power))
     )
     with pytest.raises(ConsistencyError, match=f"fixed point for k={k} not stable"):
         series_module.assemble_triple(k, 6)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_each_distinct_power_is_solved_once(monkeypatch, k):
+    """G^(2k-1) is G at k = 1 and G^(k+1) at k = 2, so only from k = 3 on does
+    it take a Miller recurrence of its own."""
+    honest_next = series_module._miller_next
+    powers = []
+    monkeypatch.setattr(
+        series_module, "_miller_next", lambda g, p, a: powers.append(a) or honest_next(g, p, a)
+    )
+    order = 30
+    series_module.assemble_triple(k, order)
+    assert len(powers) == (order if k <= 2 else 2 * order)
+    assert set(powers) == ({k + 1} if k <= 2 else {k + 1, 2 * k - 1})
 
 
 @pytest.mark.parametrize("k,at_most", [(3, 7), (5, 9)])
