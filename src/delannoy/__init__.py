@@ -4,116 +4,39 @@ Exact enumeration, counting formulas with built-in cross-checks, the
 peak/diagonal rewriting bijections, algebraic generating functions for the
 region-restricted families, and numerical harnesses for two equinumerosity
 conjectures.
-"""
 
-from .bijections import (
-    BijectionReport,
-    delta_map,
-    pi_map,
-    tau_inverse,
-    tau_map,
-    verify_bijection,
-)
-from .conjectures import (
-    ConjectureReport,
-    InversionSequence,
-    check_conjecture1,
-    check_conjecture2,
-    count_catalan_no_symmetric_peak,
-    count_inversion_102,
-    inversion_sequences,
-)
-from .counting import (
-    CountTable,
-    a_count,
-    b_closed,
-    b_dp,
-    b_table,
-    binomial,
-    delannoy_count,
-    expand_bivariate,
-    h_closed,
-    h_dp,
-    h_table,
-    multinomial,
-    schroeder_count,
-    schroeder_rect_count,
-)
-from .errors import ConsistencyError
-from .paths import (
-    LatticePath,
-    PathFamilySpec,
-    Step,
-    augment,
-    contains_pattern,
-    count_bruteforce,
-    diminish,
-    enumerate_paths,
-    in_region,
-    parse_path,
-    satisfies,
-)
-from .series import (
-    PowerSeries,
-    RadicalCheck,
-    SeriesTriple,
-    assemble_triple,
-    catalan,
-    closed_k1,
-    closed_k2,
-    radical_check_k1,
-    solve_fd,
-)
+Exports resolve on first access (PEP 562): ``import delannoy`` loads no
+submodule, and ``delannoy.assemble_triple`` or ``delannoy.series`` imports
+``delannoy.series`` then.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BijectionReport",
-    "ConjectureReport",
-    "ConsistencyError",
-    "CountTable",
-    "InversionSequence",
-    "LatticePath",
-    "PathFamilySpec",
-    "PowerSeries",
-    "RadicalCheck",
-    "SeriesTriple",
-    "Step",
-    "a_count",
-    "assemble_triple",
-    "augment",
-    "b_closed",
-    "b_dp",
-    "b_table",
-    "binomial",
-    "catalan",
-    "check_conjecture1",
-    "check_conjecture2",
-    "closed_k1",
-    "closed_k2",
-    "contains_pattern",
-    "count_bruteforce",
-    "count_catalan_no_symmetric_peak",
-    "count_inversion_102",
-    "delannoy_count",
-    "delta_map",
-    "diminish",
-    "enumerate_paths",
-    "expand_bivariate",
-    "h_closed",
-    "h_dp",
-    "h_table",
-    "in_region",
-    "inversion_sequences",
-    "multinomial",
-    "parse_path",
-    "pi_map",
-    "radical_check_k1",
-    "satisfies",
-    "schroeder_count",
-    "schroeder_rect_count",
-    "solve_fd",
-    "tau_inverse",
-    "tau_map",
-    "verify_bijection",
-]
+# Each home module and the names it exports.
+_EXPORTS = {
+    "bijections": "BijectionReport delta_map pi_map tau_inverse tau_map verify_bijection",
+    "conjectures": "ConjectureReport InversionSequence check_conjecture1 check_conjecture2 "
+    "count_catalan_no_symmetric_peak count_inversion_102 inversion_sequences",
+    "counting": "CountTable a_count b_closed b_dp b_table binomial delannoy_count expand_bivariate "
+    "h_closed h_dp h_table multinomial schroeder_count schroeder_rect_count",
+    "errors": "ConsistencyError",
+    "paths": "LatticePath PathFamilySpec Step augment contains_pattern count_bruteforce diminish "
+    "enumerate_paths in_region parse_path satisfies",
+    "series": "PowerSeries RadicalCheck SeriesTriple assemble_triple catalan closed_k1 closed_k2 "
+    "radical_check_k1 solve_fd",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    home = _HOME.get(name, name)
+    if home not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    __import__(f"{__name__}.{home}")  # the import statement's route, so -X importtime lists it
+    module = globals()[home]  # a loaded submodule is bound in its package
+    return module if name == home else getattr(module, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -8,7 +8,8 @@ a single record with fixed key order (command, parameters, result); it holds
 no timing, so the same command prints the same bytes on every run.  --budget
 charges a brute-force walk the exact number of prefixes it visits, counted before
 the walk: enum --target 2 300 visits 18,271,603 and is refused at once.  A walk
-whose count needs a table (cells x states) past the budget is refused too.
+whose count needs a table (cells x states) past the budget is refused too, and
+so is a count DP whose tables do: count h 100000 100000.
 """
 
 from __future__ import annotations
@@ -16,10 +17,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from itertools import accumulate
 from typing import Any, Iterable
 
-from . import bijections, conjectures, counting, series
+# series, bijections and conjectures are imported by the commands that run them
+from . import counting
 from .errors import ConsistencyError, agree
 from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_paths, parse_path
 
@@ -67,6 +70,9 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError(f"method {method} is not available for family {family}")
 
     chosen = routes if method == "all" else {method: routes[method]}
+    if "dp" in chosen:  # each table the DP builds costs cells x its spec's states; a's builds b's and h's
+        specs = [counting.family_spec(table, n, m) for table in {"a": ("b", "h")}.get(family, (family,))]
+        _guard_budget([(n + 1) * (m + 1) * counting._automaton(spec)[0] for spec in specs], args.budget)
     values = {name: route(n, m, k) for name, route in chosen.items()}
     value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
@@ -110,6 +116,7 @@ _MAPS = {"pi": "pi_map", "delta": "delta_map", "tau": "tau_map", "tau-inv": "tau
 
 
 def _cmd_map(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    from . import bijections
     path = parse_path(args.word)
     image = getattr(bijections, _MAPS[args.name])(path)
     parameters = {"name": args.name, "word": args.word}
@@ -121,6 +128,7 @@ def _cmd_map(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 
 def _cmd_series(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    from . import series
     if args.check_closed and args.k >= 3:
         raise ValueError(f"no closed form is available for k = {args.k}")
     triple = series.assemble_triple(args.k, args.order)
@@ -155,6 +163,7 @@ _VERIFY_CASES = {
 
 def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
     """Yield (label, domain, mapping, codomain, exclude) for every grid corner."""
+    from . import bijections
     for name, (domain, codomain, shift, exclude) in _VERIFY_CASES.items():
         if target not in (name, "all"):
             continue
@@ -171,6 +180,7 @@ def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    from . import bijections
     max_m = args.max_n if args.max_m is None else args.max_m
     if args.max_n < 0 or max_m < 0:
         raise ValueError("bounds must be nonnegative")
@@ -223,6 +233,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 
 def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
+    from . import conjectures
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
     _guard_budget([conjectures.CONJECTURES[args.which][3](args.max_n)], args.budget)  # charged its partner table
@@ -243,14 +254,19 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 # ---------- bfile ----------
 
 
+def _series_coeffs(k: int, part: str, order: int) -> list[int]:
+    from . import series
+    return list(getattr(series.assemble_triple(k, order), part).coeffs)
+
+
 # b-file sequence -> its values at 0..order: the diagonal of the h table, read
 # off its checked columns, or the coefficients of a region series.
 _BFILE_SEQUENCES = {
     "h-diag": lambda order: [column[n] for n, column in enumerate(counting.table_columns("h", order, order))],
-    "F1": lambda order: list(series.assemble_triple(1, order).f.coeffs),
-    "FD2": lambda order: list(series.assemble_triple(2, order).fd.coeffs),
-    "FE1": lambda order: list(series.assemble_triple(1, order).fe.coeffs),
-    "FD3": lambda order: list(series.assemble_triple(3, order).fd.coeffs),
+    "F1": partial(_series_coeffs, 1, "f"),
+    "FD2": partial(_series_coeffs, 2, "fd"),
+    "FE1": partial(_series_coeffs, 1, "fe"),
+    "FD3": partial(_series_coeffs, 3, "fd"),
 }
 
 
@@ -284,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BUDGET,
             help="refuse work above this (default 10^7): each walk of enum, count --method "
             "bruteforce|all and verify costs the prefixes it visits (its count's table of cells x "
-            "states must fit too), conjecture its partner table",
+            "states must fit too), count's DP its tables' cells x states, conjecture its partner table",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

@@ -204,6 +204,18 @@ def test_a_count_whose_table_exceeds_the_budget_is_refused(capsys):
     assert (code, out) == (1, "") and "budget" in err
 
 
+def test_dp_budget_boundary_is_cells_times_states(capsys):
+    # at (2, 2): 9 cells x 3 states for h, x 4 for b; a's DP builds b's table and h's
+    for family, charge in (("h", 27), ("b", 36), ("a", 63)):
+        assert run(capsys, "count", family, "2", "2", "--budget", str(charge))[0] == 0
+        code, out, err = run(capsys, "count", family, "2", "2", "--budget", str(charge - 1))
+        assert (code, out) == (1, "") and "budget" in err
+    code, out, err = run(capsys, "count", "h", "100000", "100000")
+    assert (code, out) == (1, "") and "budget" in err
+    assert run(capsys, "count", "h", "800", "800")[0] == 0  # 1924803 < 10^7
+    assert run(capsys, "count", "h", "2", "2", "--method", "closed", "--budget", "0")[0] == 0
+
+
 def test_a_pattern_longer_than_any_word_costs_nothing(capsys):
     plain = run(capsys, "enum", "--target", "1", "1")
     assert plain[0] == 0
