@@ -9,10 +9,9 @@ such map exhaustively on finite families.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .paths import LatticePath, PathFamilySpec, enumerate_paths, satisfies
+from .paths import LatticePath, PathFamilySpec, _Record, enumerate_paths, satisfies
 
 
 def pi_map(path: LatticePath) -> LatticePath:
@@ -77,16 +76,12 @@ def tau_inverse(path: LatticePath) -> LatticePath:
     return LatticePath(start=path.start, word="ENN" + w[1:])
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(_Record):
     """Outcome of an exhaustive check of a map between two finite families."""
 
-    domain_size: int
-    codomain_size: int
-    injective: bool
-    surjective: bool
-    images_in_codomain: bool
-    counterexamples: tuple = field(default_factory=tuple)
+    __slots__ = ("domain_size", "codomain_size", "injective", "surjective", "images_in_codomain",
+                 "counterexamples")
+    _defaults = {"counterexamples": ()}
 
     @property
     def ok(self) -> bool:

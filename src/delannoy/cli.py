@@ -9,7 +9,7 @@ no timing, so the same command prints the same bytes on every run.  --budget
 charges a brute-force walk the exact number of prefixes it visits, counted before
 the walk: enum --target 2 300 visits 18,271,603 and is refused at once.  A walk
 whose count needs a table (cells x states) past the budget is refused too, and
-so is a count DP whose tables do: count h 100000 100000.
+so is a count DP or bfile h-diag whose tables do: count h 100000 100000.
 """
 
 from __future__ import annotations
@@ -42,6 +42,11 @@ def _guard_budget(costs: Iterable[int], budget: int) -> None:
         raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
 
 
+def _dp_costs(family: str, n: int, m: int) -> list[int]:  # each DP table's cells x its spec's states
+    return [(n + 1) * (m + 1) * counting._automaton(counting.family_spec(table, n, m))[0]
+            for table in {"a": ("b", "h")}.get(family, (family,))]  # a's DP builds b's table and h's
+
+
 # ---------- count ----------
 
 
@@ -70,9 +75,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError(f"method {method} is not available for family {family}")
 
     chosen = routes if method == "all" else {method: routes[method]}
-    if "dp" in chosen:  # each table the DP builds costs cells x its spec's states; a's builds b's and h's
-        specs = [counting.family_spec(table, n, m) for table in {"a": ("b", "h")}.get(family, (family,))]
-        _guard_budget([(n + 1) * (m + 1) * counting._automaton(spec)[0] for spec in specs], args.budget)
+    _guard_budget(_dp_costs(family, n, m) if "dp" in chosen else (), args.budget)  # the DP's tables
     values = {name: route(n, m, k) for name, route in chosen.items()}
     value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
@@ -273,6 +276,7 @@ _BFILE_SEQUENCES = {
 def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
+    _guard_budget(_dp_costs("h", args.order, args.order) if args.sequence == "h-diag" else (), args.budget)
     values = _BFILE_SEQUENCES[args.sequence](args.order)
     parameters = {"sequence": args.sequence, "order": args.order}
     return parameters, values, [f"{n} {value}" for n, value in enumerate(values)]
@@ -300,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
             default=DEFAULT_BUDGET,
             help="refuse work above this (default 10^7): each walk of enum, count --method "
             "bruteforce|all and verify costs the prefixes it visits (its count's table of cells x "
-            "states must fit too), count's DP its tables' cells x states, conjecture its partner table",
+            "states must fit too), count's DP and bfile h-diag their tables' cells x states, "
+            "conjecture its partner table; bfile's series sequences are not charged",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")
@@ -361,6 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bfile", help="print a sequence in OEIS b-file format (lines 'n value')")
     p.add_argument("sequence", choices=list(_BFILE_SEQUENCES))
     p.add_argument("--order", type=int, default=10)
+    add_budget(p)
     p.set_defaults(handler=_cmd_bfile)
 
     return parser

@@ -17,28 +17,26 @@ stay as independent test oracles, and no check calls them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from operator import add, mul, sub
 from typing import Iterator
 
 from .counting import family_spec, spec_counts
 # enumerate_paths and count_bruteforce stay bound here, unused: perfbench's
 # tracer rebinds both names on this module.
-from .paths import PathFamilySpec, count_bruteforce, enumerate_paths  # noqa: F401
+from .paths import PathFamilySpec, _Record, count_bruteforce, enumerate_paths  # noqa: F401
 
 
-@dataclass(frozen=True)
-class InversionSequence:
+class InversionSequence(_Record):
     """e_1 .. e_n with 0 <= e_i <= i-1; contains 102 iff e_j < e_i < e_k for i<j<k."""
 
-    entries: tuple[int, ...]
+    __slots__ = ("entries",)
 
-    def __post_init__(self) -> None:
-        entries = tuple(map(int, self.entries))
-        for i, (e, given) in enumerate(zip(entries, self.entries)):
+    def __init__(self, entries: tuple[int, ...]) -> None:
+        ints = tuple(map(int, entries))
+        for i, (e, given) in enumerate(zip(ints, entries)):
             if e != given or not 0 <= e <= i:  # 1.0 is 1; 1.7 is refused, not truncated
                 raise ValueError(f"entry {given} at position {i + 1} is not an integer in [0, {i}]")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", ints)
 
     def has_pattern_102(self) -> bool:
         e = self.entries
@@ -189,13 +187,10 @@ def inversion_102_counts(n_max: int) -> list[int]:
     return counts[: n_max + 1]
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(_Record):
     """Side-by-side counts for one conjecture, for each size up to n_max."""
 
-    which: int
-    n_max: int
-    rows: tuple[tuple[int, int, int], ...]  # (n, path count, partner count)
+    __slots__ = ("which", "n_max", "rows")  # rows: (n, path count, partner count) per size
 
     @property
     def verdict(self) -> bool:

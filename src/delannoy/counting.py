@@ -12,14 +12,13 @@ its first term and steps to each next term by the exact term ratio
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import partial, reduce
 from itertools import accumulate
 from operator import add, sub
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 from .errors import ConsistencyError, agree
-from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner
+from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner, _Record
 
 
 def binomial(n: int, k: int) -> int:
@@ -72,12 +71,10 @@ def delannoy_count(n: int, m: int) -> int:
     return agree(what, {"by diagonals": by_diagonals, "by binomials": by_binomials})
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(_Record):
     """A rectangle of counts: columns[x][y] is corner (x, y); negative corners count 0."""
 
-    kind: str
-    columns: Sequence[Sequence[int]]
+    __slots__ = ("kind", "columns")  # "h" or "b"; the columns, each a sequence of counts
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         n, m = key
@@ -182,9 +179,9 @@ def prefix_count(spec: PathFamilySpec, budget: int) -> int:
     anything is built, the count's table, cells x a bound on the states, if that
     is past ``budget``; else the first running total, column by column, past it."""
     n, m = spec.target
-    longest = n + m + 1
-    spec = replace(spec, forbidden={p for p in spec.forbidden if len(p) <= longest},
-                   forbidden_aug={p for p in spec.forbidden_aug if len(p) <= longest}, last_step=None)
+    fits = {p for p in spec.forbidden | spec.forbidden_aug if len(p) <= n + m + 1}
+    spec = PathFamilySpec(spec.target, spec.forbidden & fits, spec.forbidden_aug & fits,
+                          spec.region_k, spec.first_step)
     # a matcher has at most 1 + its patterns' total length states; first_step adds the root's own
     states = (1 + sum(map(len, spec.forbidden))) * (1 + sum(map(len, spec.forbidden_aug)))
     total, table = 0, (n + 1) * (m + 1) * (states + (spec.first_step is not None))

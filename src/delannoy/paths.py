@@ -10,7 +10,7 @@ rewriting maps are string surgery.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 Point = tuple[int, int]
@@ -46,15 +46,54 @@ def _check_word(text: str) -> None:
             raise ValueError(f"invalid step character {c!r} at position {i}")
 
 
-@dataclass(frozen=True)
-class LatticePath:
+class _Record:
+    """An immutable record of the fields its class's ``__slots__`` names: equal and hashed field by
+    field within its class, shown as Name(field=value, ...), pickled and copied by its constructor."""
+
+    __slots__ = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls) -> None:
+        cls._key = staticmethod(attrgetter(*cls.__slots__))  # the one field, or a tuple
+        cls.__match_args__ = cls.__slots__  # case Name(a, b) binds the fields in order
+
+    def __init__(self, *args, **kwargs) -> None:  # fields by position or keyword, or from _defaults
+        names = self.__slots__
+        if kwargs or len(args) != len(names):  # bound as a call to Name(*names) would bind them
+            values = {**self._defaults, **dict(zip(names, args)), **kwargs}
+            if len(args) > len(names) or values.keys() != set(names) or kwargs.keys() & names[:len(args)]:
+                raise TypeError(f"{type(self).__name__}{names}: {len(args)} positional, {sorted(kwargs)}")
+            args = map(values.get, names)
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other: object) -> bool:
+        return self._key(self) == self._key(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.__slots__)})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class LatticePath(_Record):
     """A start point and a step word; two paths are equal iff both agree."""
 
-    start: Point = (0, 0)
-    word: str = ""
+    __slots__ = ("start", "word")
 
-    def __post_init__(self) -> None:
-        _check_word(self.word)
+    def __init__(self, start: Point = (0, 0), word: str = "") -> None:
+        _check_word(word)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "word", word)
 
     def __len__(self) -> int:
         return len(self.word)
@@ -139,8 +178,7 @@ def _as_step(value: str | Step | None) -> str | None:
     return c
 
 
-@dataclass(frozen=True)
-class PathFamilySpec:
+class PathFamilySpec(_Record):
     """A finite family of paths from the origin to ``target``.
 
     A path satisfies the spec iff it runs origin -> target, avoids every word
@@ -149,25 +187,18 @@ class PathFamilySpec:
     and its first/last steps match the filters (when set).
     """
 
-    target: Point
-    forbidden: frozenset[str] = frozenset()
-    forbidden_aug: frozenset[str] = frozenset()
-    region_k: int | None = None
-    first_step: str | None = None
-    last_step: str | None = None
+    __slots__ = ("target", "forbidden", "forbidden_aug", "region_k", "first_step", "last_step")
 
-    def __post_init__(self) -> None:
-        x, y = self.target
+    def __init__(self, target: Point, forbidden: Iterable[str] = frozenset(),
+                 forbidden_aug: Iterable[str] = frozenset(), region_k: int | None = None,
+                 first_step: str | None = None, last_step: str | None = None) -> None:
+        x, y = target
         if int(x) != x or int(y) != y:
-            raise ValueError(f"corner coordinates must be integers, got {self.target}")
-        object.__setattr__(self, "target", (int(x), int(y)))
-        _check_corner(*self.target)
-        object.__setattr__(self, "forbidden", _as_patterns(self.forbidden))
-        object.__setattr__(self, "forbidden_aug", _as_patterns(self.forbidden_aug))
-        if self.region_k is not None:
-            object.__setattr__(self, "region_k", _as_slope(self.region_k))
-        object.__setattr__(self, "first_step", _as_step(self.first_step))
-        object.__setattr__(self, "last_step", _as_step(self.last_step))
+            raise ValueError(f"corner coordinates must be integers, got {target}")
+        _check_corner(int(x), int(y))
+        super().__init__((int(x), int(y)), _as_patterns(forbidden), _as_patterns(forbidden_aug),
+                         None if region_k is None else _as_slope(region_k),
+                         _as_step(first_step), _as_step(last_step))
 
 
 def satisfies(path: LatticePath, spec: PathFamilySpec) -> bool:

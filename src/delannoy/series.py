@@ -18,26 +18,23 @@ square roots are never taken.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .counting import _exact, _term_walk, binomial
 from .errors import agree
-from .paths import _as_slope
+from .paths import _as_slope, _Record
 
 
-@dataclass(frozen=True)
-class PowerSeries:
+class PowerSeries(_Record):
     """A power series truncated at x^order, with exact integer coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        if not self.coeffs:
+    def __init__(self, coeffs: tuple[int, ...]) -> None:
+        if not coeffs:
             raise ValueError("a truncated series stores at least the constant term")
-        coeffs = tuple(map(int, self.coeffs))
-        if coeffs != tuple(self.coeffs):  # 2.0 is 2; 2.5 is refused, not truncated
-            raise ValueError(f"coefficients must be integers, got {self.coeffs}")
-        object.__setattr__(self, "coeffs", coeffs)
+        ints = tuple(map(int, coeffs))
+        if ints != tuple(coeffs):  # 2.0 is 2; 2.5 is refused, not truncated
+            raise ValueError(f"coefficients must be integers, got {coeffs}")
+        object.__setattr__(self, "coeffs", ints)
 
     @classmethod
     def constant(cls, value: int, order: int) -> "PowerSeries":
@@ -146,14 +143,10 @@ def _miller_next(g: list[int], p: list[int], a: int) -> int:
     return _exact(total, m, f"coefficient {m} of (1+FD)^{a}")
 
 
-@dataclass(frozen=True)
-class SeriesTriple:
+class SeriesTriple(_Record):
     """F, FD, FE for one slope k: all paths / ending with D / ending with E."""
 
-    k: int
-    f: PowerSeries
-    fd: PowerSeries
-    fe: PowerSeries
+    __slots__ = ("k", "f", "fd", "fe")
 
 
 def assemble_triple(k: int, order: int) -> SeriesTriple:
@@ -229,12 +222,11 @@ def closed_k2(n: int) -> tuple[int, int]:
     return f, fd
 
 
-@dataclass(frozen=True)
-class RadicalCheck:
+class RadicalCheck(_Record):
     """Result of the k=1 algebraicity check; falsy when some coefficient fails."""
 
-    ok: bool
-    first_mismatch: int | None = None
+    __slots__ = ("ok", "first_mismatch")
+    _defaults = {"first_mismatch": None}
 
     def __bool__(self) -> bool:
         return self.ok

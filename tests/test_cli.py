@@ -13,7 +13,7 @@ import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import assemble_triple, h_closed
-from delannoy.cli import _BFILE_SEQUENCES, main
+from delannoy.cli import _BFILE_SEQUENCES, DEFAULT_BUDGET, _dp_costs, main
 
 
 def run(capsys, *argv):
@@ -492,6 +492,18 @@ def test_bfile_h_diag_streams_the_table():
         tracemalloc.stop()
     assert values[:5] == [1, 1, 3, 9, 27] and values[120] == h_closed(120, 120)
     assert peak < 500_000
+
+
+def test_bfile_h_diag_budget_boundary_is_cells_times_states(capsys):
+    # at order 2: 9 cells x h's 3 states, charged before any column is built
+    assert run(capsys, "bfile", "h-diag", "--order", "2", "--budget", "27")[0] == 0
+    code, out, err = run(capsys, "bfile", "h-diag", "--order", "2", "--budget", "26")
+    assert (code, out) == (1, "") and "budget" in err
+    code, out, err = run(capsys, "bfile", "h-diag", "--order", "100000")
+    assert (code, out) == (1, "") and "budget" in err
+    assert _dp_costs("h", 1500, 1500) == [6_759_003] and 6_759_003 <= DEFAULT_BUDGET  # admitted
+    for sequence in ("F1", "FD2", "FE1", "FD3"):  # the series sequences are not charged
+        assert run(capsys, "bfile", sequence, "--order", "3", "--budget", "0")[0] == 0
 
 
 def test_bfile_usage(capsys):
