@@ -172,7 +172,7 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
 
 
 def prefix_count(spec: PathFamilySpec, budget: int) -> int:
-    """The number of prefixes ``paths._member_words`` pushes for spec, the empty
+    """The number of prefixes ``paths._member_words`` examines for spec, the empty
     word included: every state of ``_state_columns`` at every cell, ``last_step``
     dropped, and patterns longer than "E" plus the longest word dropped, as they
     never occur.  Past ``budget`` it stops and returns a number above it: before

@@ -10,6 +10,7 @@ rewriting maps are string surgery.
 from __future__ import annotations
 
 import enum
+from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -92,8 +93,16 @@ class LatticePath(_Record):
 
     def __init__(self, start: Point = (0, 0), word: str = "") -> None:
         _check_word(word)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "word", word)
+        _set_start(self, start)
+        _set_word(self, word)
+
+    def __eq__(self, other: object) -> bool:  # _Record's, inlined: verify_bijection looks up every path
+        if other.__class__ is not LatticePath:
+            return NotImplemented
+        return self.word == other.word and self.start == other.start
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.word))
 
     def __len__(self) -> int:
         return len(self.word)
@@ -113,6 +122,9 @@ class LatticePath(_Record):
             x, y = x + dx, y + dy
             out.append((x, y))
         return out
+
+
+_set_start, _set_word = LatticePath.start.__set__, LatticePath.word.__set__  # the slots' own setters
 
 
 def parse_path(text: str, start: Point = (0, 0)) -> LatticePath:
@@ -227,49 +239,51 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
     """Yield the words of the family, in lexicographic order E < N < D.
 
     Depth-first walk over prefixes on an explicit stack, so the path length
-    is not bounded by the recursion limit.  Steps never decrease a
-    coordinate, so a prefix dies as soon as it overshoots the target, leaves
-    the region, or completes a forbidden factor.  Every completion's
-    augmented word starts with "E" + prefix, so a prefix also dies as soon as
-    that string ends with a forbidden augmented pattern; the lone leading
-    "E" is checked once, before the walk.  A prefix that reaches the target
-    is a whole word, and there only the step filters and the augmented
-    occurrences that end at the closing N are left to check.
+    is not bounded by the recursion limit.  A prefix is held as "E" + prefix,
+    how every completion's augmented word starts: a step is one concatenation,
+    and a prefix dies once it ends with a forbidden factor (past that "E") or
+    a forbidden augmented pattern, or leaves the region; inside the target's
+    box no step overshoots.  On the last column or the top row the rest of the
+    word is forced, so it is extended in place, letter by letter under the
+    same two tests (at once, with no patterns), up to the first forbidden
+    letter.  A whole word is then left with the step filters and the
+    augmented occurrences that end at the closing N.
     """
     n, m = spec.target
-    pats = tuple(spec.forbidden)
-    augs = tuple(spec.forbidden_aug)
-    k = spec.region_k
-    first, last = spec.first_step, spec.last_step
-    if "E" in augs:
-        return
-    stack = [("", 0, 0)]
+    pats, augs = tuple(spec.forbidden), tuple(spec.forbidden_aug)
+    k, first, last = spec.region_k, spec.first_step, spec.last_step
+    if "E" in augs or (k is not None and m < k * n) or (0 in (n, m) and first not in (None, "EN"[n == 0])):
+        return  # the leading E; a top-row tail below the region; a root on an axis has its first step forced
+    seam = tuple(p[:-1] for p in augs if p[-1] == "N")  # the patterns met at the closing N, less that N
+    steps = tuple(s for s in _STEPS_REVERSED if first in (None, s[0]))  # the root's; all after it
+    stack = [("E", 0, 0)]
     while stack:
-        word, x, y = stack.pop()
-        if x == n and y == m:
-            if (first is None or word[:1] == first) and (last is None or word[-1:] == last):
-                if not (augs and ("E" + word + "N").endswith(augs)):
+        a2, x, y = stack.pop()
+        if x == n or y == m:
+            c, end = ("N", len(a2) + m - y) if x == n else ("E", len(a2) + n - x)
+            if not (pats or augs):
+                a2 += c * (end - len(a2))
+            while len(a2) < end:
+                a2 += c
+                if (pats and a2.endswith(pats, 1)) or (augs and a2.endswith(augs)):
+                    break
+            else:
+                word = a2[1:]
+                if first in (None, word[:1]) and last in (None, word[-1:]) and not (seam and a2.endswith(seam)):
                     yield word
             continue
-        for c, dx, dy in _STEPS_REVERSED:
-            if not word and first is not None and c != first:
+        for c, dx, dy in steps:
+            if k is not None and y + dy < k * (x + dx):
                 continue
-            x2, y2 = x + dx, y + dy
-            if x2 > n or y2 > m:
-                continue
-            if k is not None and y2 < k * x2:
-                continue
-            w2 = word + c
-            if pats and w2.endswith(pats):
-                continue
-            if augs and ("E" + w2).endswith(augs):
-                continue
-            stack.append((w2, x2, y2))
+            a3 = a2 + c
+            if not ((pats and a3.endswith(pats, 1)) or (augs and a3.endswith(augs))):
+                stack.append((a3, x + dx, y + dy))
+        steps = _STEPS_REVERSED
 
 
 def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
     """Yield every path of the family, in lexicographic word order E < N < D."""
-    return (LatticePath(word=w) for w in _member_words(spec))
+    return map(partial(LatticePath, (0, 0)), _member_words(spec))
 
 
 def count_bruteforce(spec: PathFamilySpec) -> int:

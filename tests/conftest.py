@@ -5,7 +5,15 @@ criterion."""
 from __future__ import annotations
 
 import itertools
+import os
 import re
+
+from hypothesis import settings
+
+# HYPOTHESIS_PROFILE=ci draws ten times the default examples for every property
+# test that does not set its own count, so CI tests the brute-force oracle harder.
+settings.register_profile("ci", max_examples=1000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 _DISP = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}
 

@@ -244,8 +244,40 @@ def test_enumerate_matches_naive_generation(n, m):
 @example(0, 1, frozenset(), frozenset({"NN"}), None, None, None)
 @example(2, 2, frozenset(), frozenset({"D"}), None, "N", "E")
 @example(2, 3, frozenset(), frozenset({"D"}), 1, "N", "N")
+# Edges of the forced tail, walked in place on the last column or the top row:
+# a root on an axis under a first-step filter, a forbidden factor inside the
+# tail, an augmented pattern across the tail and the closing N, a last-step
+# filter on a tail, and a target below the region.
+@example(0, 3, frozenset(), frozenset(), None, "N", None)
+@example(3, 0, frozenset(), frozenset(), None, "N", None)
+@example(1, 4, frozenset({"NN"}), frozenset(), None, None, None)
+@example(4, 1, frozenset({"EE"}), frozenset(), None, None, None)
+@example(1, 3, frozenset(), frozenset({"NNN"}), None, None, None)
+@example(2, 3, frozenset(), frozenset(), None, None, "E")
+@example(3, 2, frozenset(), frozenset(), 1, None, None)
 def test_walker_matches_naive_family_in_order(n, m, forbidden, forbidden_aug, region_k, first, last):
     """Random specs: the walk yields exactly the naive family, sorted E < N < D."""
+    _assert_walk_is_naive_family(n, m, forbidden, forbidden_aug, region_k, first, last)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 1),
+    st.integers(0, 7),
+    st.booleans(),
+    st.frozensets(patterns, max_size=3),
+    st.frozensets(patterns, max_size=2),
+    st.sampled_from([None, 1, 2, 3]),
+    steps,
+    steps,
+)
+def test_walker_matches_naive_family_on_thin_corners(thin, side, wide, forbidden, forbidden_aug, region_k, first, last):
+    """Corners one cell thin, so most of each word is a forced tail."""
+    n, m = (side, thin) if wide else (thin, side)
+    _assert_walk_is_naive_family(n, m, forbidden, forbidden_aug, region_k, first, last)
+
+
+def _assert_walk_is_naive_family(n, m, forbidden, forbidden_aug, region_k, first, last):
     kwargs = dict(
         forbidden=forbidden,
         forbidden_aug=forbidden_aug,
@@ -258,6 +290,26 @@ def test_walker_matches_naive_family_in_order(n, m, forbidden, forbidden_aug, re
     expected = sorted(naive_family(n, m, **kwargs), key=lambda w: ["END".index(c) for c in w])
     assert got == expected
     assert count_bruteforce(spec) == len(got)
+
+
+def test_walk_to_a_long_thin_corner():
+    """The 2m + 1 Delannoy paths to (1, m) and, mirrored, to (m, 1), in order E < N < D."""
+    m = 2000
+    to_column = [p.word for p in enumerate_paths(PathFamilySpec(target=(1, m)))]
+    assert to_column == [
+        *("N" * i + "E" + "N" * (m - i) for i in range(m + 1)),
+        *("N" * i + "D" + "N" * (m - 1 - i) for i in reversed(range(m))),
+    ]
+    to_row = [p.word for p in enumerate_paths(PathFamilySpec(target=(m, 1)))]
+    assert to_row == ["E" * m + "N"] + [
+        word for j in reversed(range(m)) for word in ("E" * j + "N" + "E" * (m - j), "E" * j + "D" + "E" * (m - 1 - j))
+    ]
+    assert len(to_column) == len(to_row) == 2 * m + 1
+
+
+def test_forced_tail_stops_at_its_first_forbidden_letter():
+    """One column a million cells high forbidding NN: the walk dies on its second letter."""
+    assert count_bruteforce(PathFamilySpec(target=(0, 10**6), forbidden={"NN"})) == 0
 
 
 def test_enumerated_paths_satisfy_their_spec():

@@ -102,6 +102,13 @@ def test_record_semantics(cls, fields, changed, defaults, text):
         cls(**fields, nosuch=1)
 
 
+def test_path_is_equal_and_hashed_by_start_and_word():
+    path = LatticePath((1, 2), "NE")
+    assert hash(path) == hash(((1, 2), "NE"))  # the field tuple's hash, as the dataclass had
+    assert path != LatticePath((0, 0), "NE") and path != LatticePath((1, 2), "EN")
+    assert path.__eq__(PathFamilySpec((1, 2))) is NotImplemented and path != PathFamilySpec((1, 2))
+
+
 def test_records_of_different_classes_differ():
     assert PowerSeries((0, 1)) != InversionSequence((0, 1))
     assert RadicalCheck(ok=True) == RadicalCheck(True) == RadicalCheck(True, None)
