@@ -6,10 +6,11 @@ mismatch (two routes that must agree disagreed).  Stdout carries a result
 only on exit 0; every check runs before anything is printed.  JSON output is
 a single record with fixed key order (command, parameters, result); it holds
 no timing, so the same command prints the same bytes on every run.  --budget
-charges a brute-force walk the exact number of prefixes it visits, counted before
-the walk: enum --target 2 300 visits 18,271,603 and is refused at once.  A walk
-whose count needs a table (cells x states) past the budget is refused too, and
-so is a count DP or bfile h-diag whose tables do: count h 100000 100000.
+refuses a command unless its chosen routes' charges, summed, fit before any
+runs: a walk the prefixes it examines (over-counted at its early returns, a
+target below the region and an axis root off --first), whose counting table of
+cells x states must fit too; a DP or bfile h-diag its tables' cells x states;
+conjecture its partner table; closed forms and series nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import argparse
 import json
 import sys
 from functools import partial
-from itertools import accumulate
+from itertools import accumulate, tee
 from typing import Any, Iterable
 
 # series, bijections and conjectures are imported by the commands that run them
@@ -42,18 +43,15 @@ def _guard_budget(costs: Iterable[int], budget: int) -> None:
         raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
 
 
-def _dp_costs(family: str, n: int, m: int) -> list[int]:  # each DP table's cells x its spec's states
-    return [(n + 1) * (m + 1) * counting._automaton(counting.family_spec(table, n, m))[0]
-            for table in {"a": ("b", "h")}.get(family, (family,))]  # a's DP builds b's table and h's
-
-
 # ---------- count ----------
 
 
 def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     family = args.family
-    if args.k is not None and not counting.FAMILIES[family][1]:
-        raise ValueError(f"family {family} has no region; --k applies to schroeder and schroeder-rect")
+    _, in_region, routes = counting.FAMILIES[family]
+    if args.k is not None and not in_region:
+        regional = " and ".join(name for name, (_, flag, _) in counting.FAMILIES.items() if flag)
+        raise ValueError(f"family {family} has no region; --k applies to {regional}")
     k = 1 if args.k is None else args.k
     if family == "schroeder":
         if args.m is not None:
@@ -64,19 +62,15 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
             raise ValueError(f"family {family} needs both corner coordinates n and m")
         n, m = args.n, args.m
 
-    def bruteforce(n: int, m: int, k: int) -> int:
-        spec = counting.family_spec(family, n, m, k)
-        _guard_budget([counting.prefix_count(spec, args.budget)], args.budget)
-        return count_bruteforce(spec)
-
-    routes = {**counting.FAMILIES[family][2], "bruteforce": bruteforce}
+    routes = {**routes, "bruteforce": (counting.prefix_count, count_bruteforce)}  # the walk: its prefixes
     method = args.method or next(iter(routes))
     if method != "all" and method not in routes:
         raise ValueError(f"method {method} is not available for family {family}")
 
     chosen = routes if method == "all" else {method: routes[method]}
-    _guard_budget(_dp_costs(family, n, m) if "dp" in chosen else (), args.budget)  # the DP's tables
-    values = {name: route(n, m, k) for name, route in chosen.items()}
+    spec = counting.family_spec(family, n, m, k)
+    _guard_budget((charge(spec, args.budget) for charge, _ in chosen.values()), args.budget)
+    values = {name: run(spec) for name, (_, run) in chosen.items()}
     value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
     if method == "all":
@@ -191,20 +185,14 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError("tau is a map between unrestricted families; --k does not apply")
     if args.target == "tau" and min(args.max_n, max_m) < 1:  # pi and delta start at (0, 0)
         raise ValueError("no case to verify: tau's first corner is (1, 1)")
+    cases, listed = tee(_verify_cases(args.target, args.max_n, max_m, args.k))  # generated once
     _guard_budget(  # each case walks its domain and its codomain
-        (
-            counting.prefix_count(spec, args.budget)
-            for _, domain, _, codomain, _ in _verify_cases(args.target, args.max_n, max_m, args.k)
-            for spec in (domain, codomain)
-        ),
-        args.budget,
+        (counting.prefix_count(spec, args.budget) for case in listed for spec in case[1:4:2]), args.budget
     )
 
     rows = []
     failures = []
-    for label, domain, mapping, codomain, exclude in _verify_cases(
-        args.target, args.max_n, max_m, args.k
-    ):
+    for label, domain, mapping, codomain, exclude in cases:
         report = bijections.verify_bijection(domain, mapping, codomain, domain_exclude=exclude)
         rows.append(
             {
@@ -262,22 +250,30 @@ def _series_coeffs(k: int, part: str, order: int) -> list[int]:
     return list(getattr(series.assemble_triple(k, order), part).coeffs)
 
 
-# b-file sequence -> its values at 0..order: the diagonal of the h table, read
-# off its checked columns, or the coefficients of a region series.
+def _h_diag_charge(order: int, budget: int) -> int:  # count h's DP to (order, order)
+    charge, _ = counting.FAMILIES["h"][2]["dp"]
+    return charge(counting.family_spec("h", order, order), budget)
+
+
+# b-file sequence -> (charge, values at 0..order): the diagonal of the h table,
+# read off its checked columns, or the coefficients of a region series, not charged.
+_FREE = lambda order, budget: 0  # noqa: E731
 _BFILE_SEQUENCES = {
-    "h-diag": lambda order: [column[n] for n, column in enumerate(counting.table_columns("h", order, order))],
-    "F1": partial(_series_coeffs, 1, "f"),
-    "FD2": partial(_series_coeffs, 2, "fd"),
-    "FE1": partial(_series_coeffs, 1, "fe"),
-    "FD3": partial(_series_coeffs, 3, "fd"),
+    "h-diag": (_h_diag_charge, lambda order: [
+        column[n] for n, column in enumerate(counting.table_columns("h", order, order))]),
+    "F1": (_FREE, partial(_series_coeffs, 1, "f")),
+    "FD2": (_FREE, partial(_series_coeffs, 2, "fd")),
+    "FE1": (_FREE, partial(_series_coeffs, 1, "fe")),
+    "FD3": (_FREE, partial(_series_coeffs, 3, "fd")),
 }
 
 
 def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
-    _guard_budget(_dp_costs("h", args.order, args.order) if args.sequence == "h-diag" else (), args.budget)
-    values = _BFILE_SEQUENCES[args.sequence](args.order)
+    charge, sequence = _BFILE_SEQUENCES[args.sequence]
+    _guard_budget([charge(args.order, args.budget)], args.budget)
+    values = sequence(args.order)
     parameters = {"sequence": args.sequence, "order": args.order}
     return parameters, values, [f"{n} {value}" for n, value in enumerate(values)]
 
@@ -302,10 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
             "--budget",
             type=budget,
             default=DEFAULT_BUDGET,
-            help="refuse work above this (default 10^7): each walk of enum, count --method "
-            "bruteforce|all and verify costs the prefixes it visits (its count's table of cells x "
-            "states must fit too), count's DP and bfile h-diag their tables' cells x states, "
-            "conjecture its partner table; bfile's series sequences are not charged",
+            help="refuse a command whose chosen routes, charged and summed before any runs, cost "
+            "more than this (default 10^7): a walk (enum, count bruteforce, each of verify's) the "
+            "prefixes it examines, count's DP and bfile h-diag their tables' cells x states, "
+            "conjecture its partner table; closed forms and series nothing",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

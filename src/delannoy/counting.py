@@ -280,6 +280,11 @@ def a_count(n: int, m: int) -> int:
     return agree(f"a_count({n}, {m})", {"b table": bt[n, m] - bt[n - 1, m - 1], "h dp": h_dp(n, m)})
 
 
+def _dp_costs(family: str, n: int, m: int) -> list[int]:  # each table family's DP builds: cells x states
+    return [(n + 1) * (m + 1) * _automaton(family_spec(table, n, m))[0]
+            for table in {"a": ("b", "h")}.get(family, (family,))]  # a_count builds b's table and h's
+
+
 def schroeder_count(n: int, k: int = 1) -> int:
     """Paths origin -> (n, kn) staying in y >= kx (k-Schroeder paths of size n).
 
@@ -327,31 +332,30 @@ def expand_bivariate(numerator: Mapping[tuple[int, int], int],
     return {(x, y): c for x, col in enumerate(columns) for y, c in enumerate(col)}
 
 
+_FREE = lambda spec, budget: 0  # noqa: E731
+
+
+def _dp(family: str, run) -> tuple:
+    return lambda spec, budget: sum(_dp_costs(family, *spec.target)), run
+
+
 # Every counted family: the fields of its PathFamilySpec beyond the corner,
 # whether its corner lies in the region y >= kx, and its counting routes,
-# default first; brute force over the spec counts every family too.  A route
-# looks its function up when it runs, so rebinding a module attribute (a test
-# mutation, a tracer) reaches every caller.
+# default first; brute force over the spec counts every family too.  A route is
+# a (charge, run) pair over the family's spec: a DP is charged ``_dp_costs``, a
+# closed form nothing.  A run looks its function up when it runs, so rebinding a
+# module attribute (a test mutation, a tracer) reaches every caller.
 FAMILIES: dict[str, tuple[dict, bool, dict]] = {
-    "delannoy": ({}, False, {"closed": lambda n, m, k: delannoy_count(n, m)}),
-    "h": (
-        {"forbidden": {"NE", "EN"}},
-        False,
-        {"dp": lambda n, m, k: h_dp(n, m), "closed": lambda n, m, k: h_closed(n, m)},
-    ),
-    "b": (
-        {"forbidden": {"D", "EENN"}},
-        False,
-        {"dp": lambda n, m, k: b_dp(n, m), "closed": lambda n, m, k: b_closed(n, m)},
-    ),
-    "a": (
-        {"forbidden_aug": {"D", "EENN"}},
-        False,
-        # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form
-        {"dp": lambda n, m, k: a_count(n, m), "closed": lambda n, m, k: h_closed(n, m)},
-    ),
-    "schroeder": ({}, True, {"closed": lambda n, m, k: schroeder_count(n, k)}),
-    "schroeder-rect": ({}, True, {"closed": lambda n, m, k: schroeder_rect_count(n, m, k)}),
+    "delannoy": ({}, False, {"closed": (_FREE, lambda s: delannoy_count(*s.target))}),
+    "h": ({"forbidden": {"NE", "EN"}}, False,
+          {"dp": _dp("h", lambda s: h_dp(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
+    "b": ({"forbidden": {"D", "EENN"}}, False,
+          {"dp": _dp("b", lambda s: b_dp(*s.target)), "closed": (_FREE, lambda s: b_closed(*s.target))}),
+    # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form
+    "a": ({"forbidden_aug": {"D", "EENN"}}, False,
+          {"dp": _dp("a", lambda s: a_count(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
+    "schroeder": ({}, True, {"closed": (_FREE, lambda s: schroeder_count(s.target[0], s.region_k))}),
+    "schroeder-rect": ({}, True, {"closed": (_FREE, lambda s: schroeder_rect_count(*s.target, s.region_k))}),
 }
 
 

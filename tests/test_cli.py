@@ -9,11 +9,13 @@ import tracemalloc
 import pytest
 
 import delannoy.bijections as bijections_module
+import delannoy.cli as cli_module
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import assemble_triple, h_closed
-from delannoy.cli import _BFILE_SEQUENCES, DEFAULT_BUDGET, _dp_costs, main
+from delannoy.cli import _BFILE_SEQUENCES, DEFAULT_BUDGET, main
+from delannoy.counting import _dp_costs
 
 
 def run(capsys, *argv):
@@ -214,6 +216,16 @@ def test_dp_budget_boundary_is_cells_times_states(capsys):
     assert (code, out) == (1, "") and "budget" in err
     assert run(capsys, "count", "h", "800", "800")[0] == 0  # 1924803 < 10^7
     assert run(capsys, "count", "h", "2", "2", "--method", "closed", "--budget", "0")[0] == 0
+
+
+def test_count_all_is_charged_every_route_summed_before_any_runs(capsys, monkeypatch):
+    # at (3, 3): the DP's 16 cells x 3 states, plus the walk's 40 prefixes; the closed form is free
+    argv = ("count", "h", "3", "3", "--method", "all", "--budget")
+    assert run(capsys, *argv, "88") == (0, "9\n  dp: 9\n  closed: 9\n  bruteforce: 9\n", "")
+    for module, route in ((counting_module, "h_dp"), (counting_module, "h_closed"), (cli_module, "count_bruteforce")):
+        monkeypatch.setattr(module, route, lambda *a: pytest.fail(f"{route} ran"))
+    code, out, err = run(capsys, *argv, "87")
+    assert (code, out) == (1, "") and "exceeds budget 87" in err
 
 
 def test_a_pattern_longer_than_any_word_costs_nothing(capsys):
@@ -486,7 +498,8 @@ def test_bfile_h_diag_streams_the_table():
     (order+1)^2 table (1.9 MB under tracemalloc at order 120 when it did)."""
     tracemalloc.start()
     try:
-        values = _BFILE_SEQUENCES["h-diag"](120)
+        _, sequence = _BFILE_SEQUENCES["h-diag"]
+        values = sequence(120)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

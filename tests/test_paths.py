@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import delannoy.counting as counting_module
+import delannoy.paths as paths_module
 from delannoy import (
     LatticePath,
     PathFamilySpec,
@@ -310,6 +314,68 @@ def test_walk_to_a_long_thin_corner():
 def test_forced_tail_stops_at_its_first_forbidden_letter():
     """One column a million cells high forbidding NN: the walk dies on its second letter."""
     assert count_bruteforce(PathFamilySpec(target=(0, 10**6), forbidden={"NN"})) == 0
+
+
+def _examined_prefixes(spec: PathFamilySpec) -> int:
+    """The prefixes the walker keeps while it lists spec, counted from outside it
+    under sys.settrace: the root, each push, and each letter a forced tail gains
+    in place, less the letter a tail breaks on."""
+    code = paths_module._member_words.__code__
+    source, first = inspect.getsourcelines(code)
+    at = {line.strip(): first + i for i, line in enumerate(source)}
+    gains = {
+        at['stack = [("E", 0, 0)]']: lambda frame: 1,
+        at["stack.append((a3, x + dx, y + dy))"]: lambda frame: 1,
+        at["a2 += c * (end - len(a2))"]: lambda frame: frame.f_locals["end"] - len(frame.f_locals["a2"]),
+        at["a2 += c"]: lambda frame: 1,
+        at["break"]: lambda frame: -1,
+    }
+    total = 0
+
+    def walker_lines(frame, event, arg):
+        nonlocal total
+        if event == "line" and frame.f_lineno in gains:
+            total += gains[frame.f_lineno](frame)
+        return walker_lines
+
+    previous = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: walker_lines if frame.f_code is code else None)
+    try:
+        list(paths_module._member_words(spec))
+    finally:
+        sys.settrace(previous)
+    return total
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 4),
+    st.integers(0, 4),
+    st.frozensets(patterns, max_size=3),
+    st.frozensets(patterns, max_size=2),
+    st.sampled_from([None, 1, 2, 3]),
+    steps,
+    steps,
+)
+@example(2, 2, frozenset(), frozenset(), None, "N", None)  # the root's first-step filter
+@example(0, 3, frozenset(), frozenset(), None, "E", None)  # a root on an axis, off its forced step
+@example(3, 0, frozenset({"EE"}), frozenset(), None, "D", None)
+@example(3, 2, frozenset(), frozenset(), 1, None, None)  # a target below the region
+@example(1, 4, frozenset({"NNN"}), frozenset({"EN"}), None, None, None)  # tails that break
+@example(3, 3, frozenset(), frozenset(), None, None, "E")  # tails extended at once
+def test_walker_examines_the_prefixes_it_is_charged(n, m, forbidden, forbidden_aug, region_k, first, last):
+    """The walk keeps exactly counting.prefix_count's prefixes, the charge the CLI
+    admits it under, except at its two early returns, where it keeps none: a
+    target below the region, and a root on an axis whose forced first step is
+    not the first-step filter."""
+    spec = PathFamilySpec(
+        target=(n, m), forbidden=forbidden, forbidden_aug=forbidden_aug,
+        region_k=region_k, first_step=first, last_step=last,
+    )
+    below_region = region_k is not None and m < region_k * n
+    off_axis_step = 0 in (n, m) and first not in (None, "N" if n == 0 else "E")
+    want = 0 if below_region or off_axis_step else counting_module.prefix_count(spec, 10**9)
+    assert _examined_prefixes(spec) == want
 
 
 def test_enumerated_paths_satisfy_their_spec():
