@@ -10,7 +10,7 @@ refuses a command unless its chosen routes' charges, summed, fit before any
 runs: a walk the prefixes it examines (over-counted at its early returns, a
 target below the region and an axis root off --first), whose counting table of
 cells x states must fit too; a DP or bfile h-diag its tables' cells x states;
-conjecture its partner table; closed forms and series nothing.
+conjecture its path DP's table and its partner table; closed forms and series nothing.
 """
 
 from __future__ import annotations
@@ -227,7 +227,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     from . import conjectures
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
-    _guard_budget([conjectures.CONJECTURES[args.which][3](args.max_n)], args.budget)  # charged its partner table
+    *_, cost = conjectures.CONJECTURES[args.which]  # its path DP's table and its partner table
+    _guard_budget([cost(args.max_n)], args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
@@ -250,21 +251,15 @@ def _series_coeffs(k: int, part: str, order: int) -> list[int]:
     return list(getattr(series.assemble_triple(k, order), part).coeffs)
 
 
-def _h_diag_charge(order: int, budget: int) -> int:  # count h's DP to (order, order)
-    charge, _ = counting.FAMILIES["h"][2]["dp"]
-    return charge(counting.family_spec("h", order, order), budget)
-
-
-# b-file sequence -> (charge, values at 0..order): the diagonal of the h table,
-# read off its checked columns, or the coefficients of a region series, not charged.
-_FREE = lambda order, budget: 0  # noqa: E731
+# b-file sequence -> (charge, values at 0..order): the h table's diagonal, read off
+# its checked columns and charged its DP, or a region series' coefficients, free.
 _BFILE_SEQUENCES = {
-    "h-diag": (_h_diag_charge, lambda order: [
+    "h-diag": (lambda order, _: counting._dp_cost(counting.family_spec("h", order, order)), lambda order: [
         column[n] for n, column in enumerate(counting.table_columns("h", order, order))]),
-    "F1": (_FREE, partial(_series_coeffs, 1, "f")),
-    "FD2": (_FREE, partial(_series_coeffs, 2, "fd")),
-    "FE1": (_FREE, partial(_series_coeffs, 1, "fe")),
-    "FD3": (_FREE, partial(_series_coeffs, 3, "fd")),
+    "F1": (counting._FREE, partial(_series_coeffs, 1, "f")),
+    "FD2": (counting._FREE, partial(_series_coeffs, 2, "fd")),
+    "FE1": (counting._FREE, partial(_series_coeffs, 1, "fe")),
+    "FD3": (counting._FREE, partial(_series_coeffs, 3, "fd")),
 }
 
 
@@ -301,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
             help="refuse a command whose chosen routes, charged and summed before any runs, cost "
             "more than this (default 10^7): a walk (enum, count bruteforce, each of verify's) the "
             "prefixes it examines, count's DP and bfile h-diag their tables' cells x states, "
-            "conjecture its partner table; closed forms and series nothing",
+            "conjecture its path DP's table and its partner table; closed forms and series nothing",
         )
 
     p = sub.add_parser("count", help="count one path family at one corner")

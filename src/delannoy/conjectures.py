@@ -20,7 +20,7 @@ import itertools
 from operator import add, mul, sub
 from typing import Iterator
 
-from .counting import family_spec, spec_counts
+from .counting import _dp_cost, family_spec, spec_counts
 # enumerate_paths and count_bruteforce stay bound here, unused: perfbench's
 # tracer rebinds both names on this module.
 from .paths import PathFamilySpec, _Record, count_bruteforce, enumerate_paths  # noqa: F401
@@ -202,24 +202,28 @@ class ConjectureReport(_Record):
 
 # Conjecture number -> (region slope k, last step of the peak/valley-free
 # paths to (n, kn), partner table: entry n is the partner count at size n,
-# the table's cost: its cells or big-int multiply-adds, as its docstring
-# bounds them).  The tables are looked up when called, so rebinding one on
-# the module reaches the check.
+# the check's cost: its path DP's table plus the partner table's cells or
+# big-int multiply-adds, as its docstring bounds them).  The tables are looked
+# up when called, so rebinding one on the module reaches the check.
 CONJECTURES = {
     1: (1, "E", lambda n_max: no_symmetric_peak_counts(n_max + 1)[1:],
-        lambda n_max: (n_max + 2) ** 2),
+        lambda n_max: _dp_cost(_path_spec(1, n_max)) + (n_max + 2) ** 2),
     2: (2, "D", lambda n_max: inversion_102_counts(n_max),
-        lambda n_max: (n_max + 2) ** 4 * (n_max + 7) // 120),
+        lambda n_max: _dp_cost(_path_spec(2, n_max)) + (n_max + 2) ** 4 * (n_max + 7) // 120),
 }
+
+
+def _path_spec(which: int, n_max: int) -> PathFamilySpec:  # one DP: its column n holds size n at (n, kn)
+    k, last, _, _ = CONJECTURES[which]
+    return family_spec("h", n_max, k * n_max, region_k=k, last_step=last)
 
 
 def _check(which: int, n_max: int) -> ConjectureReport:
     if n_max < 1:
         raise ValueError(f"n_max must be positive, got {n_max}")
-    k, last, partner, _ = CONJECTURES[which]
+    k, _, partner, _ = CONJECTURES[which]
     partners = partner(n_max)
-    # one DP: the path count at (n, kn) is read off its column n as it passes
-    columns = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
+    columns = spec_counts(_path_spec(which, n_max))  # each column read as it passes
     rows = tuple((n, column[k * n], partners[n]) for n, column in enumerate(columns) if n >= 1)
     return ConjectureReport(which=which, n_max=n_max, rows=rows)
 

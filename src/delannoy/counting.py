@@ -171,6 +171,11 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
         yield list(reduce(partial(map, add), live)) if live else [0] * (spec.target[1] + 1)
 
 
+def _dp_cost(spec: PathFamilySpec, budget: int = 0) -> int:  # prefix_count's arguments: a route's charge
+    """The cells x states of the table ``spec_counts(spec)`` builds."""
+    return (spec.target[0] + 1) * (spec.target[1] + 1) * _automaton(spec)[0]
+
+
 def prefix_count(spec: PathFamilySpec, budget: int) -> int:
     """The number of prefixes ``paths._member_words`` examines for spec, the empty
     word included: every state of ``_state_columns`` at every cell, ``last_step``
@@ -280,11 +285,6 @@ def a_count(n: int, m: int) -> int:
     return agree(f"a_count({n}, {m})", {"b table": bt[n, m] - bt[n - 1, m - 1], "h dp": h_dp(n, m)})
 
 
-def _dp_costs(family: str, n: int, m: int) -> list[int]:  # each table family's DP builds: cells x states
-    return [(n + 1) * (m + 1) * _automaton(family_spec(table, n, m))[0]
-            for table in {"a": ("b", "h")}.get(family, (family,))]  # a_count builds b's table and h's
-
-
 def schroeder_count(n: int, k: int = 1) -> int:
     """Paths origin -> (n, kn) staying in y >= kx (k-Schroeder paths of size n).
 
@@ -335,25 +335,22 @@ def expand_bivariate(numerator: Mapping[tuple[int, int], int],
 _FREE = lambda spec, budget: 0  # noqa: E731
 
 
-def _dp(family: str, run) -> tuple:
-    return lambda spec, budget: sum(_dp_costs(family, *spec.target)), run
-
-
 # Every counted family: the fields of its PathFamilySpec beyond the corner,
 # whether its corner lies in the region y >= kx, and its counting routes,
 # default first; brute force over the spec counts every family too.  A route is
-# a (charge, run) pair over the family's spec: a DP is charged ``_dp_costs``, a
-# closed form nothing.  A run looks its function up when it runs, so rebinding a
-# module attribute (a test mutation, a tracer) reaches every caller.
+# a (charge, run) pair over the family's spec: a DP is charged each table's
+# ``_dp_cost``, a closed form nothing.  A run looks its function up when it runs,
+# so rebinding a module attribute (a test mutation, a tracer) reaches every caller.
 FAMILIES: dict[str, tuple[dict, bool, dict]] = {
     "delannoy": ({}, False, {"closed": (_FREE, lambda s: delannoy_count(*s.target))}),
     "h": ({"forbidden": {"NE", "EN"}}, False,
-          {"dp": _dp("h", lambda s: h_dp(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
+          {"dp": (_dp_cost, lambda s: h_dp(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
     "b": ({"forbidden": {"D", "EENN"}}, False,
-          {"dp": _dp("b", lambda s: b_dp(*s.target)), "closed": (_FREE, lambda s: b_closed(*s.target))}),
-    # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form
+          {"dp": (_dp_cost, lambda s: b_dp(*s.target)), "closed": (_FREE, lambda s: b_closed(*s.target))}),
+    # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form; a_count builds b's table and h's
     "a": ({"forbidden_aug": {"D", "EENN"}}, False,
-          {"dp": _dp("a", lambda s: a_count(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
+          {"dp": (lambda s, budget: sum(_dp_cost(family_spec(t, *s.target)) for t in "bh"),
+                  lambda s: a_count(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
     "schroeder": ({}, True, {"closed": (_FREE, lambda s: schroeder_count(s.target[0], s.region_k))}),
     "schroeder-rect": ({}, True, {"closed": (_FREE, lambda s: schroeder_rect_count(*s.target, s.region_k))}),
 }
@@ -366,6 +363,6 @@ def family_spec(family: str, n: int, m: int, k: int | None = None, **fields) -> 
     fields, such as a region for the other families or a last step.
     """
     base, in_region, _ = FAMILIES[family]
-    if in_region:
-        fields["region_k"] = k
+    if in_region:  # the slope first: a bad one also makes schroeder's corner (n, kn) bad
+        fields["region_k"] = _as_slope(k)
     return PathFamilySpec(target=(n, m), **base, **fields)

@@ -15,7 +15,7 @@ import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import assemble_triple, h_closed
 from delannoy.cli import _BFILE_SEQUENCES, DEFAULT_BUDGET, main
-from delannoy.counting import _dp_costs
+from delannoy.counting import _dp_cost, family_spec
 
 
 def run(capsys, *argv):
@@ -87,6 +87,14 @@ def test_count_usage_errors(capsys):
     assert run(capsys, "count", "nosuch", "1", "1")[0] == 1
     assert run(capsys, "count", "delannoy", "-1", "4")[0] == 1
     assert run(capsys, "count", "delannoy", "2", "2", "--method", "dp")[0] == 1
+
+
+def test_count_schroeder_names_a_bad_slope_before_its_corner(capsys):
+    # the slope sets schroeder's corner (n, kn), so it is checked first
+    code, out, err = run(capsys, "count", "schroeder", "3", "--k", "-1")
+    assert (code, out) == (1, "") and "slope k must be a positive integer, got -1" in err
+    code, out, err = run(capsys, "count", "schroeder", "-1")
+    assert (code, out) == (1, "") and "corner coordinates must be nonnegative, got (-1, -1)" in err
 
 
 @pytest.mark.parametrize("family", ["delannoy", "h", "b", "a"])
@@ -216,6 +224,31 @@ def test_dp_budget_boundary_is_cells_times_states(capsys):
     assert (code, out) == (1, "") and "budget" in err
     assert run(capsys, "count", "h", "800", "800")[0] == 0  # 1924803 < 10^7
     assert run(capsys, "count", "h", "2", "2", "--method", "closed", "--budget", "0")[0] == 0
+
+
+@pytest.mark.parametrize("argv,partner", [
+    (("count", "h", "3", "3", "--method", "dp"), 0),
+    (("count", "b", "3", "3", "--method", "dp"), 0),
+    (("count", "a", "3", "3", "--method", "dp"), 0),
+    (("bfile", "h-diag", "--order", "3"), 0),
+    (("conjecture", "1", "--max-n", "4"), 36),  # its partner table: (n+2)^2 cells
+    (("conjecture", "2", "--max-n", "4"), 118),  # its partner table: (n+2)^4 (n+7) // 120 multiply-adds
+], ids=["count-h", "count-b", "count-a", "bfile-h-diag", "conjecture-1", "conjecture-2"])
+def test_dp_that_runs_is_the_dp_charged(capsys, monkeypatch, argv, partner):
+    """Every DP table a command builds is charged: the cells x states of the
+    tables ``_state_columns`` runs are the DP part of the least admitted budget."""
+    built, state_columns = [], counting_module._state_columns
+
+    def counted(spec, automaton):
+        built.append((spec.target[0] + 1) * (spec.target[1] + 1) * automaton[0])
+        return state_columns(spec, automaton)
+
+    monkeypatch.setattr(counting_module, "_state_columns", counted)
+    assert run(capsys, *argv)[0] == 0 and built
+    charge = sum(built) + partner
+    assert run(capsys, *argv, "--budget", str(charge))[0] == 0
+    code, out, err = run(capsys, *argv, "--budget", str(charge - 1))
+    assert (code, out) == (1, "") and "budget" in err
 
 
 def test_count_all_is_charged_every_route_summed_before_any_runs(capsys, monkeypatch):
@@ -373,6 +406,16 @@ def test_verify_budget_charges_each_walk(capsys, monkeypatch):
     assert walked == []
 
 
+def test_verify_charge_stops_listing_cases_at_the_first_past_the_budget(capsys, monkeypatch):
+    # the grid holds 271202 cases; the charge refuses after the first few
+    # dozen, so a huge --max-n is refused without holding every case
+    listed, cases = [], cli_module._verify_cases
+    monkeypatch.setattr(cli_module, "_verify_cases", lambda *a: (listed.append(c) or c for c in cases(*a)))
+    code, out, err = run(capsys, "verify", "all", "--max-n", "300", "--budget", "1000")
+    assert (code, out) == (1, "") and "budget" in err
+    assert 0 < len(listed) < 100
+
+
 def test_verify_all_to_ten_passes_the_default_budget(capsys, monkeypatch):
     # its walks push 3711199 prefixes in all; the walks themselves are stubbed out
     report = bijections_module.BijectionReport(1, 1, True, True, True)
@@ -442,23 +485,24 @@ def test_conjecture_checks_never_call_the_oracles(capsys, monkeypatch):
         assert run(capsys, "conjecture", which, "--max-n", "9")[0] == 0
 
 
-def test_conjecture_budget_counts_only_the_partner(capsys, monkeypatch):
-    # each partner is one table for every size, charged once: conjecture 1's
-    # (n+2)^2 cells, conjecture 2's (n+2)^4 (n+7) // 120 multiply-adds
+def test_conjecture_budget_counts_its_path_dp_and_its_partner(capsys, monkeypatch):
+    # each side is one table for every size, charged once: the path DP's cells x
+    # 4 states, plus conjecture 1's (n+2)^2 partner cells or conjecture 2's
+    # (n+2)^4 (n+7) // 120 partner multiply-adds
     code, out, _ = run(capsys, "conjecture", "1", "--max-n", "500")
     assert code == 0 and out.endswith("agree\n")
     code, out, _ = run(capsys, "conjecture", "2", "--max-n", "30")
     assert code == 0 and out.endswith("agree\n")
-    for which, charge in (("1", 36), ("2", 118)):  # at --max-n 4
+    for which, charge in (("1", 136), ("2", 298)):  # at --max-n 4: 25 x 4 + 36 and 45 x 4 + 118
         assert run(capsys, "conjecture", which, "--max-n", "4", "--budget", str(charge))[0] == 0
         code, _, err = run(capsys, "conjecture", which, "--max-n", "4", "--budget", str(charge - 1))
         assert code == 1 and "budget" in err
-    checked = []
-    monkeypatch.setattr(conjectures_module, "_check", lambda *a: checked.append(a))
-    for which in ("1", "2"):
-        code, _, err = run(capsys, "conjecture", which, "--max-n", "1000000")
-        assert code == 1 and "budget" in err
-    assert checked == []
+    monkeypatch.setattr(conjectures_module, "_check", lambda *a: pytest.fail("checked"))
+    with pytest.raises(pytest.fail.Exception, match="checked"):  # 1414^2 x 4 + 1415^2 = 9999809, admitted
+        run(capsys, "conjecture", "1", "--max-n", "1413")
+    for which, n_max in (("1", "1414"), ("2", "1000000")):
+        code, _, err = run(capsys, "conjecture", which, "--max-n", n_max)
+        assert code == 1 and "exceeds budget 10000000" in err
 
 
 def test_conjecture_usage(capsys):
@@ -514,7 +558,7 @@ def test_bfile_h_diag_budget_boundary_is_cells_times_states(capsys):
     assert (code, out) == (1, "") and "budget" in err
     code, out, err = run(capsys, "bfile", "h-diag", "--order", "100000")
     assert (code, out) == (1, "") and "budget" in err
-    assert _dp_costs("h", 1500, 1500) == [6_759_003] and 6_759_003 <= DEFAULT_BUDGET  # admitted
+    assert _dp_cost(family_spec("h", 1500, 1500)) == 6_759_003 and 6_759_003 <= DEFAULT_BUDGET  # admitted
     for sequence in ("F1", "FD2", "FE1", "FD3"):  # the series sequences are not charged
         assert run(capsys, "bfile", sequence, "--order", "3", "--budget", "0")[0] == 0
 
