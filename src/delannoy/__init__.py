@@ -18,12 +18,11 @@ _EXPORTS = {
     "conjectures": "ConjectureReport InversionSequence check_conjecture1 check_conjecture2 "
     "count_catalan_no_symmetric_peak count_inversion_102 inversion_sequences",
     "counting": "CountTable a_count b_closed b_dp b_table binomial delannoy_count expand_bivariate "
-    "h_closed h_dp h_table multinomial schroeder_count schroeder_rect_count",
+    "h_closed h_dp h_table schroeder_count schroeder_rect_count",
     "errors": "ConsistencyError",
-    "paths": "LatticePath PathFamilySpec Step augment contains_pattern count_bruteforce diminish "
-    "enumerate_paths in_region parse_path satisfies",
-    "series": "PowerSeries RadicalCheck SeriesTriple assemble_triple catalan closed_k1 closed_k2 "
-    "radical_check_k1 solve_fd",
+    "paths": "LatticePath PathFamilySpec count_bruteforce enumerate_paths in_region parse_path satisfies",
+    "series": "PowerSeries RadicalCheck SeriesTriple assemble_triple closed_k1 closed_k2 radical_check_k1 "
+    "solve_fd",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 __all__ = sorted(_HOME)

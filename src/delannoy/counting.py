@@ -36,15 +36,6 @@ def _exact(num: int, den: int, what: str) -> int:
     return quotient
 
 
-def multinomial(top: int, a: int, b: int, c: int) -> int:
-    """Trinomial coefficient top! / (a! b! c!); 0 if any lower index is negative."""
-    if a < 0 or b < 0 or c < 0:
-        return 0
-    if top != a + b + c:
-        raise ValueError(f"multinomial top {top} != {a} + {b} + {c}")
-    return math.comb(top, a) * math.comb(top - a, b)
-
-
 def _term_walk(first: int, last: int, ratio, what: str) -> int:
     """t_0 + ... + t_last: t_0 = first, t_(i+1) = t_i * num / den, (num, den) = ratio(i)."""
     total = term = first

@@ -9,25 +9,11 @@ rewriting maps are string surgery.
 
 from __future__ import annotations
 
-import enum
 from functools import partial
 from operator import attrgetter
 from typing import Iterable, Iterator
 
 Point = tuple[int, int]
-
-
-class Step(str, enum.Enum):
-    """The three admissible unit steps."""
-
-    N = "N"
-    E = "E"
-    D = "D"
-    __str__ = str.__str__  # str(Step.D) is "D", so a member works wherever its letter does
-
-    @property
-    def displacement(self) -> Point:
-        return _DISPLACEMENT[self.value]
 
 
 _DISPLACEMENT: dict[str, Point] = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}
@@ -132,31 +118,6 @@ def parse_path(text: str, start: Point = (0, 0)) -> LatticePath:
     return LatticePath(start=start, word=text)  # its check names the offending position
 
 
-def contains_pattern(path: LatticePath, pattern: str) -> bool:
-    """True iff the pattern word occurs as a factor (consecutive steps)."""
-    _as_patterns((pattern,))
-    return pattern in path.word
-
-
-def augment(path: LatticePath) -> LatticePath:
-    """Prepend an E step and append an N step.
-
-    The start moves one unit west so that the original path's vertices are
-    unchanged; the end moves one unit north.
-    """
-    sx, sy = path.start
-    return LatticePath(start=(sx - 1, sy), word="E" + path.word + "N")
-
-
-def diminish(path: LatticePath) -> LatticePath:
-    """Drop the first and last steps (inverse of augment on its image)."""
-    if len(path.word) < 2:
-        raise ValueError("diminish needs a path with at least two steps")
-    sx, sy = path.start
-    dx, dy = _DISPLACEMENT[path.word[0]]
-    return LatticePath(start=(sx + dx, sy + dy), word=path.word[1:-1])
-
-
 def in_region(path: LatticePath, k: int) -> bool:
     """True iff every vertex (x, y) of the path satisfies y >= k*x."""
     k = _as_slope(k)
@@ -181,7 +142,7 @@ def _as_patterns(patterns: Iterable[str]) -> frozenset[str]:
     return out
 
 
-def _as_step(value: str | Step | None) -> str | None:
+def _as_step(value: str | None) -> str | None:
     if value is None:
         return None
     c = str(value)

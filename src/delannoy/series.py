@@ -7,16 +7,21 @@ pinned down by an algebraic fixed-point equation
 
     FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1)
 
-whose right-hand side at x^n reads only lower coefficients of FD.  So FD is
-solved one coefficient per step, each distinct power of G = 1 + FD kept once
-by J.C.P. Miller's recurrence (Knuth, TAOCP 2, 4.7), then substituted once
-into the equation as the independent check, factored as FD = x G^(k-1) F:
-its factor F = G^2 - x G^k is the full series, and FE = F - G.  A product of
-equal series takes each cross term once.  Everything is integer arithmetic;
-square roots are never taken.
+whose right-hand side at x^n reads only lower coefficients of FD.  Being
+algebraic, G = 1 + FD has coefficients that satisfy a linear recurrence with
+polynomial coefficients (Stanley, EC2 6.4); for k = 1, 2, 3 that P-recurrence
+is tabled here and solves G in O(N), one exact division per coefficient.  Its
+first coefficients, and every coefficient from k = 4 on, come from the equation
+itself, each distinct power of G kept once by J.C.P. Miller's recurrence
+(Knuth, TAOCP 2, 4.7).  Either solve is substituted once into the equation as
+the independent check, factored as FD = x G^(k-1) F: its factor F = G^2 - x G^k
+is the full series, and FE = F - G.  A product of equal series takes each cross
+term once.  Everything is integer arithmetic; square roots are never taken.
 """
 
 from __future__ import annotations
+
+from operator import mul
 
 from .counting import _exact, _term_walk, binomial
 from .errors import agree
@@ -143,6 +148,46 @@ def _miller_next(g: list[int], p: list[int], a: int) -> int:
     return _exact(total, m, f"coefficient {m} of (1+FD)^{a}")
 
 
+# P-recurrences of G = 1 + FD: sum_(i=0..r) P_i(n) g_(n+i) = 0 for every n >= 0, each P_i listed
+# from its top coefficient in n down.  Each is the one-dimensional nullspace of a linear fit to the
+# first 200 coefficients, so it is evidence, not proof: the substitution check still runs on every
+# solve.  Every P_r has positive coefficients only, so it has no root at n >= 0.
+_RECURRENCES = {
+    1: ((1, -1), (0, 0), (2, 4), (-4, -14), (1, 5)),
+    2: ((-27, -135, -186, -72), (54, 324, 618, 384), (-31, -221, -522, -408), (4, 34, 94, 84)),
+    3: ((849513723349869250000, 12312662365368059234375, 69887173097036511353125,
+         200966013856190557175000, 315848507408322971064700, 270249282100744260654800,
+         115514957458075571859840, 18702276197274781655040),
+        (-1042818306321695650000, -18955515049123357921875, -144311034522395154424375,
+         -599968960055833440138750, -1476949971602007428207740, -2156239539376651329883860,
+         -1727406392288233815208560, -584459424228152533725000),
+        (346565806756663580960, 7884274281272146855110, 75379219102483063964162,
+         391790693040593870077740, 1193415815496101401515350, 2126938396688365499381580,
+         2050620033354370001684328, 823816863709138385556120),
+        (35863139085683322720, 531082440998413805786, 2397616088295582112722, -875911047251273338000,
+         -40090157497298264482410, -128892274251112803811636, -165839492072843016910392,
+         -75201892103460391640280),
+        (-32909594435725607920, -834736471344317920285, -8914975133022175178119,
+         -51811259952872871554980, -176288724349865736965770, -349489743912936645347020,
+         -371586989899142595941256, -162346416090362290808280),
+        (3138111310825154160, 88691437336261267593, 1046935462897614819525, 6662179042942837578030,
+         24546505572268716264990, 51994552696221645078552, 58111982692410613491960,
+         26181950085007160976000)),
+}
+
+
+def _recurrence_next(polys: tuple[tuple[int, ...], ...], g: list[int]) -> int:
+    """Next coefficient of G from the r before it: P_r(n) g_(n+r) = -sum_(i<r) P_i(n) g_(n+i)."""
+    n = len(g) - len(polys) + 1
+    values = []
+    for poly in polys:  # Horner
+        value = 0
+        for c in poly:
+            value = value * n + c
+        values.append(value)
+    return _exact(-sum(map(mul, values, g[n:])), values[-1], f"coefficient {len(g)} of 1+FD")
+
+
 class SeriesTriple(_Record):
     """F, FD, FE for one slope k: all paths / ending with D / ending with E."""
 
@@ -152,29 +197,36 @@ class SeriesTriple(_Record):
 def assemble_triple(k: int, order: int) -> SeriesTriple:
     """(F, FD, FE): FD solved online, checked once, and F and FE read off the check.
 
-    [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1) with G = 1 + FD, O(order^2) for
-    every k. G^(2k-1) is G at k = 1 and G^(k+1) at k = 2, so each distinct power has one
-    Miller recurrence. The check FD = x G^(k-1) F forms F = G^2 - x G^k, and
-    FE = G FD - x G^k = F - G.
+    For k <= 3, G = 1 + FD takes one step of its P-recurrence per coefficient past the
+    first r, O(order) in all. Those r, and from k = 4 on every coefficient, are
+    [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), each distinct power by one Miller
+    recurrence (G^(2k-1) is G at k = 1 and G^(k+1) at k = 2), O(order^2). The check
+    FD = x G^(k-1) F forms F = G^2 - x G^k, each power of G once, and FE = F - G.
     """
     k = _as_slope(k)
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    polys = _RECURRENCES.get(k)
+    start = len(polys) - 1 if polys else order + 1  # the first coefficient the recurrence takes
     g, p = [1], [1]  # G, G^(k+1)
     q = g if k == 1 else p if k == 2 else [1]  # G^(2k-1), its own recurrence from k = 3
-    for n in range(1, order + 1):
+    for n in range(1, min(start, order + 1)):
         g.append(p[n - 1] - (q[n - 2] if n > 1 else 0))
         p.append(_miller_next(g, p, k + 1))
         if k > 2:
             q.append(_miller_next(g, q, 2 * k - 1))
+    for _ in range(start, order + 1):
+        g.append(_recurrence_next(polys, g))
     fd = PowerSeries((0, *g[1:]))
     x = PowerSeries.x(order)
     one_fd = 1 + fd
-    low = one_fd ** (k - 1)
-    f = one_fd * one_fd - x * (low * one_fd)
+    powers = [1, one_fd, one_fd * one_fd]  # G^0, G^1, G^2, ... to G^k
+    while len(powers) <= k:
+        powers.append(powers[-1] * one_fd)
+    f = powers[2] - x * powers[k]
     agree(f"fixed point for k={k} not stable to order {order}",
-          {"solved": list(fd.coeffs), "substituted": list((x * low * f).coeffs)}, "x^{}".format)
-    return SeriesTriple(k=k, f=f, fd=fd, fe=f - one_fd)
+          {"solved": list(fd.coeffs), "substituted": list((x * powers[k - 1] * f).coeffs)}, "x^{}".format)
+    return SeriesTriple(k, f, fd, f - one_fd)
 
 
 def solve_fd(k: int, order: int) -> PowerSeries:
@@ -182,15 +234,8 @@ def solve_fd(k: int, order: int) -> PowerSeries:
     return assemble_triple(k, order).fd
 
 
-def catalan(n: int) -> int:
-    """The n-th Catalan number C(2n, n) / (n + 1)."""
-    if n < 0:
-        raise ValueError(f"index must be nonnegative, got {n}")
-    return _exact(binomial(2 * n, n), n + 1, f"catalan({n})")
-
-
 def closed_k1(n: int) -> tuple[int, int, int]:
-    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1: [x^j]F sums catalan(m) C(j+m, 3m)
+    """Coefficients ([x^n]F, [x^n]FD, [x^n]FE) for k = 1: [x^j]F sums C_m C(j+m, 3m) (Catalan C_m)
     over m, walked by exact term ratios; FD = xF reads it at j = n - 1, and by Pascal's
     rule FE = (1 - x)F - 1 is their difference, less 1 at n = 0."""
     if n < 0:
@@ -252,6 +297,6 @@ def radical_check_k1(order: int, triple: SeriesTriple | None = None) -> RadicalC
     rhs = one_minus_x**4 - 4 * x * x * one_minus_x
     pairs = ((lhs, rhs), (fd, x * f), (fe, one_minus_x * f - 1))
     if all(left == right for left, right in pairs):
-        return RadicalCheck(ok=True)
-    return RadicalCheck(ok=False, first_mismatch=next(
+        return RadicalCheck(True, None)
+    return RadicalCheck(False, next(
         i for i in range(order + 1) if any(left[i] != right[i] for left, right in pairs)))

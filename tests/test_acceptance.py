@@ -29,7 +29,6 @@ from delannoy import (
     expand_bivariate,
     h_closed,
     h_table,
-    multinomial,
     pi_map,
     radical_check_k1,
     satisfies,
@@ -39,6 +38,8 @@ from delannoy import (
     tau_map,
     verify_bijection,
 )
+
+from helpers import multinomial
 
 
 def test_criterion_01_bruteforce_matches_every_formula():

@@ -25,7 +25,6 @@ from delannoy import (
     h_closed,
     h_dp,
     h_table,
-    multinomial,
     schroeder_count,
     schroeder_rect_count,
 )
@@ -33,6 +32,7 @@ from delannoy.counting import _check_expansion, spec_counts
 from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
+from helpers import multinomial
 from test_paths import patterns, steps
 
 

@@ -128,11 +128,12 @@ SITES = {
                   "a_count(3, 3): 9 != 10 (b table, h dp disagree)"),
     "a_count-b": (counting_module, "b_table", _bump_corner, lambda: a_count(3, 3),
                   "a_count(3, 3): 10 != 9 (b table, h dp disagree)"),
-    # a solve that keeps G^4 where G^3 belongs (k = 2) stays integral, so only the
+    # a P-recurrence whose last step (k = 2) is off by one stays integral, so only the
     # substitution check catches it
-    "assemble_triple": (series_module, "_miller_next",
-                        lambda honest: lambda g, p, a: honest(g, p, a + (a == 3)), lambda: assemble_triple(2, 6),
-                        "fixed point for k=2 not stable to order 6 at x^2: 3 != 2 (solved, substituted disagree)"),
+    "assemble_triple": (series_module, "_recurrence_next",
+                        lambda honest: lambda polys, g: honest(polys, g) + (len(g) == 6),
+                        lambda: assemble_triple(2, 6),
+                        "fixed point for k=2 not stable to order 6 at x^6: 382 != 381 (solved, substituted disagree)"),
 }
 
 

@@ -15,11 +15,7 @@ import delannoy.paths as paths_module
 from delannoy import (
     LatticePath,
     PathFamilySpec,
-    Step,
-    augment,
-    contains_pattern,
     count_bruteforce,
-    diminish,
     enumerate_paths,
     in_region,
     parse_path,
@@ -29,6 +25,7 @@ from delannoy import (
 )
 
 from conftest import naive_contains, naive_family
+from helpers import Step, augment, contains_pattern, diminish
 
 words = st.text(alphabet="NED", max_size=24)
 ne_words = st.text(alphabet="NE", max_size=24)

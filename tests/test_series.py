@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,6 @@ from delannoy import (
     PowerSeries,
     SeriesTriple,
     assemble_triple,
-    catalan,
     closed_k1,
     closed_k2,
     count_bruteforce,
@@ -21,6 +22,8 @@ from delannoy import (
     solve_fd,
 )
 from delannoy.counting import family_spec, spec_counts
+
+from helpers import catalan
 
 # Leading coefficients of the three series for each slope, frozen from the
 # closed forms and cross-checked against brute-force path counts elsewhere.
@@ -228,39 +231,126 @@ def test_substitution_identity_for_k2():
     assert substituted == assemble_triple(2, order).fd
 
 
-# G^(k+1) at every k, and from k = 3 on G^(2k-1), which only there has its own recurrence
-@pytest.mark.parametrize("k,power", [(1, 2), (2, 3), (3, 4), (3, 5), (4, 7)],
-                         ids=["1", "2", "3", "3-G^5", "4-G^7"])
-def test_assemble_rejects_a_non_fixed_point(monkeypatch, k, power):
-    # a solve that keeps G^(power+1) where G^power belongs stays integral and
-    # self-consistent, so only the substitution check can catch it
-    honest_next = series_module._miller_next
-    monkeypatch.setattr(
-        series_module, "_miller_next", lambda g, p, a: honest_next(g, p, a + (a == power))
-    )
-    with pytest.raises(ConsistencyError, match=f"fixed point for k={k} not stable"):
-        series_module.assemble_triple(k, 6)
+# Each perturbed solve stays integral and self-consistent, so only the substitution check can
+# catch it: for k <= 3 the P-recurrence's last step off by one; from k = 4 on, and at k = 3 below
+# its first recurrence step (order 5), a Miller step that keeps G^(power+1) where G^power belongs
+@pytest.mark.parametrize("k,power,order", [(1, None, 6), (2, None, 6), (3, None, 8), (3, 5, 4), (4, 5, 6),
+                                           (4, 7, 6)], ids=["1", "2", "3", "3-G^5", "4-G^5", "4-G^7"])
+def test_assemble_rejects_a_non_fixed_point(monkeypatch, k, power, order):
+    if power is None:
+        honest_step = series_module._recurrence_next
+        monkeypatch.setattr(series_module, "_recurrence_next",
+                            lambda polys, g: honest_step(polys, g) + (len(g) == order))
+    else:
+        honest_next = series_module._miller_next
+        monkeypatch.setattr(series_module, "_miller_next",
+                            lambda g, p, a: honest_next(g, p, a + (a == power)))
+    where = rf"x\^{order}:" if power is None else r"x\^"  # a wrong last coefficient is named
+    with pytest.raises(ConsistencyError, match=f"fixed point for k={k} not stable to order {order} at {where}"):
+        series_module.assemble_triple(k, order)
+
+
+# the order r of each slope's P-recurrence: Miller's recurrence gives G's first r coefficients
+FIRST_STEP = {1: 4, 2: 3, 3: 5}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_each_distinct_power_is_solved_once(monkeypatch, k):
     """G^(2k-1) is G at k = 1 and G^(k+1) at k = 2, so only from k = 3 on does
-    it take a Miller recurrence of its own."""
-    honest_next = series_module._miller_next
-    powers = []
+    it take a Miller recurrence of its own.  For k <= 3 Miller's steps stop at
+    the P-recurrence's first, which then takes one step per coefficient."""
+    honest_next, honest_step = series_module._miller_next, series_module._recurrence_next
+    powers, steps = [], []
     monkeypatch.setattr(
         series_module, "_miller_next", lambda g, p, a: powers.append(a) or honest_next(g, p, a)
     )
+    monkeypatch.setattr(
+        series_module, "_recurrence_next", lambda polys, g: steps.append(len(g)) or honest_step(polys, g)
+    )
     order = 30
     series_module.assemble_triple(k, order)
-    assert len(powers) == (order if k <= 2 else 2 * order)
+    first = FIRST_STEP.get(k, order + 1)
+    assert len(powers) == (first - 1) * (1 if k <= 2 else 2)
     assert set(powers) == ({k + 1} if k <= 2 else {k + 1, 2 * k - 1})
+    assert steps == list(range(first, order + 1))
+
+
+@functools.cache
+def _miller_g(k, order):
+    """G = 1 + FD by Miller's recurrence alone, written here: [x^n]FD = [x^(n-1)]G^(k+1) -
+    [x^(n-2)]G^(2k-1), and each power P = G^a steps by n p_n = sum_j ((a+1) j - n) g_j p_(n-j)."""
+    g = [1]
+    powers = {k + 1: [1], 2 * k - 1: [1]}
+    for n in range(1, order + 1):
+        g.append(powers[k + 1][n - 1] - (powers[2 * k - 1][n - 2] if n > 1 else 0))
+        for a, p in powers.items():
+            total = sum(((a + 1) * j - n) * g[j] * p[n - j] for j in range(1, n + 1))
+            assert total % n == 0, (k, a, n)
+            p.append(total // n)
+    return tuple(g)
+
+
+@given(st.integers(1, 3), st.integers(0, 200))
+@settings(deadline=None)
+def test_recurrence_solve_matches_miller(k, order):
+    assert (1,) + solve_fd(k, order).coeffs[1:] == _miller_g(k, 200)[: order + 1]
+
+
+def test_recurrence_solve_to_order_600():
+    """Past the orders the property test draws: the closed forms at sampled indices, and at
+    k = 3 every coefficient of the Miller solve."""
+    k1, k2 = assemble_triple(1, 600), assemble_triple(2, 600)
+    for n in (0, 1, 5, 199, 200, 201, 333, 477, 598, 599, 600):
+        assert closed_k1(n) == (k1.f[n], k1.fd[n], k1.fe[n]), n
+        assert closed_k2(n) == (k2.f[n], k2.fd[n]), n
+    assert (1,) + solve_fd(3, 600).coeffs[1:] == _miller_g(3, 600)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_a_wrong_recurrence_entry_is_caught(monkeypatch, k):
+    """Every entry of each table, one at a time, off by one: an inexact division or the
+    substitution check raises; no wrong series comes back."""
+    table = series_module._RECURRENCES[k]
+    for i, poly in enumerate(table):
+        for j in range(len(poly)):
+            wrong = poly[:j] + (poly[j] + 1,) + poly[j + 1:]
+            monkeypatch.setitem(series_module._RECURRENCES, k, table[:i] + (wrong,) + table[i + 1:])
+            with pytest.raises(ConsistencyError):
+                assemble_triple(k, 30)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_leading_polynomial_has_no_root_at_nonnegative_n(k):
+    """P_r's coefficients are all positive, so P_r(n) >= P_r(0) > 0 for every n >= 0: each
+    recurrence step divides by a nonzero integer."""
+    table = series_module._RECURRENCES[k]
+    assert len(table) - 1 == FIRST_STEP[k]
+    assert len({len(poly) for poly in table}) == 1  # one degree
+    assert all(c > 0 for c in table[-1])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_check_forms_each_power_of_g_once(monkeypatch, k):
+    """G^2 is shared by F = G^2 - x G^k and the powers G^(k-1), G^k: one square per solve,
+    and k + 2 products in all (G^2, G^3 to G^k, x G^k, x G^(k-1) and its product with F);
+    at k = 1, x G^0 is x times the integer 1."""
+    honest_mul = PowerSeries.__mul__
+    squares = []
+
+    def counted_mul(self, other):
+        squares.append(isinstance(other, PowerSeries) and self.coeffs == other.coeffs)
+        return honest_mul(self, other)
+
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
+    assemble_triple(k, 20)
+    assert sum(squares) == 1
+    assert len(squares) == max(k, 2) + 2
 
 
 @pytest.mark.parametrize("k,at_most", [(3, 7), (5, 9)])
 def test_checks_take_each_power_once(monkeypatch, k, at_most):
-    """One solve and one check: k + 4 products (G^(k-1), G^2, G^k, x G^k and
-    x G^(k-1) F) for assemble_triple and for solve_fd, a view of it."""
+    """One solve and one check, within k + 4 products, for assemble_triple and for
+    solve_fd, a view of it (test_check_forms_each_power_of_g_once counts them exactly)."""
     honest_mul = PowerSeries.__mul__
     calls = []
 
@@ -312,15 +402,15 @@ def test_high_order_series_match_closed_forms():
 
 
 def test_solve_fd_substitution_check_is_live(monkeypatch):
-    """The solver never calls PowerSeries.__pow__; only its final check does."""
-    honest_pow = PowerSeries.__pow__
+    """The solver never calls PowerSeries.__mul__; only its final check does."""
+    honest_mul = PowerSeries.__mul__
 
-    def perturbed_pow(self, exponent):
-        coeffs = list(honest_pow(self, exponent).coeffs)
+    def perturbed_mul(self, other):
+        coeffs = list(honest_mul(self, other).coeffs)
         coeffs[3] += 1
         return PowerSeries(tuple(coeffs))
 
-    monkeypatch.setattr(series_module.PowerSeries, "__pow__", perturbed_pow)
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", perturbed_mul)
     with pytest.raises(ConsistencyError):
         solve_fd(2, 8)
 
