@@ -4,13 +4,15 @@ Subcommands: count, enum, map, series, verify, conjecture, bfile.
 Exit codes: 0 success, 1 usage or precondition error, 2 internal cross-check
 mismatch (two routes that must agree disagreed).  Stdout carries a result
 only on exit 0; every check runs before anything is printed.  JSON output is
-a single record with fixed key order (command, parameters, result); it holds
-no timing, so the same command prints the same bytes on every run.  --budget
-refuses a command unless its chosen routes' charges, summed, fit before any
-runs: a walk the prefixes it examines (over-counted at its early returns, a
-target below the region and an axis root off --first), whose counting table of
-cells x states must fit too; a DP or bfile h-diag its tables' cells x states;
-conjecture its path DP's table and its partner table; closed forms and series nothing.
+a single record with fixed key order (command, parameters, result): the
+parameters are the parsed arguments as the command resolved them, less
+--format and --budget.  It holds no timing, so the same command prints the
+same bytes on every run.  --budget refuses a command unless its chosen
+routes' charges, summed, fit before any runs: a walk the prefixes it examines
+(over-counted at its early returns, a target below the region and an axis
+root off --first), whose counting table of cells x states must fit too; a DP
+or bfile h-diag its tables' cells x states; conjecture its path DP's table
+and its partner table; closed forms and series nothing.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .errors import ConsistencyError, agree
 from .paths import LatticePath, PathFamilySpec, count_bruteforce, enumerate_paths, parse_path
 
 DEFAULT_BUDGET = 10**7
+_UNECHOED = {"command", "handler", "format", "budget"}  # the output controls and dispatch
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,8 +79,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if method == "all":
         lines += [f"  {name}: {v}" for name, v in values.items()]
 
-    parameters = {"family": family, "n": args.n, "m": args.m, "k": k, "method": method}
-    return parameters, {"value": value, "methods": values}, lines
+    return {"k": k, "method": method}, {"value": value, "methods": values}, lines
 
 
 # ---------- enum ----------
@@ -94,15 +96,8 @@ def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     )
     _guard_budget([counting.prefix_count(spec, args.budget)], args.budget)
     words = [path.word for path in enumerate_paths(spec)]
-    parameters = {
-        "target": list(spec.target),
-        "avoid": sorted(spec.forbidden),
-        "avoid_aug": sorted(spec.forbidden_aug),
-        "region": spec.region_k,
-        "first": spec.first_step,
-        "last": spec.last_step,
-    }
-    return parameters, {"count": len(words), "words": words}, words
+    resolved = {"avoid": sorted(spec.forbidden), "avoid_aug": sorted(spec.forbidden_aug)}
+    return resolved, {"count": len(words), "words": words}, words
 
 
 # ---------- map ----------
@@ -116,9 +111,8 @@ def _cmd_map(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     from . import bijections
     path = parse_path(args.word)
     image = getattr(bijections, _MAPS[args.name])(path)
-    parameters = {"name": args.name, "word": args.word}
     result = {"word": image.word, "start": list(image.start), "end": list(image.end)}
-    return parameters, result, [image.word]
+    return {}, result, [image.word]
 
 
 # ---------- series ----------
@@ -141,9 +135,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         lines = [f"{name}: " + " ".join(str(c) for c in cs) for name, cs in coeffs.items()]
     else:
         lines = [" ".join(str(c) for c in coeffs[args.which])]
-    parameters = {"which": args.which, "k": args.k, "order": args.order, "check_closed": bool(args.check_closed)}
-    result = {"coefficients": coeffs, "checked_against_closed_form": bool(args.check_closed)}
-    return parameters, result, lines
+    return {}, {"coefficients": coeffs, "checked_against_closed_form": args.check_closed}, lines
 
 
 # ---------- verify ----------
@@ -190,18 +182,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         (counting.prefix_count(spec, args.budget) for case in listed for spec in case[1:4:2]), args.budget
     )
 
-    rows = []
-    failures = []
+    rows, failures = [], []
     for label, domain, mapping, codomain, exclude in cases:
         report = bijections.verify_bijection(domain, mapping, codomain, domain_exclude=exclude)
-        rows.append(
-            {
-                "case": label,
-                "ok": report.ok,
-                "domain_size": report.domain_size,
-                "codomain_size": report.codomain_size,
-            }
-        )
+        rows.append({"case": label, "ok": report.ok, "domain_size": report.domain_size,
+                     "codomain_size": report.codomain_size})
         if not report.ok:
             witnesses = "; ".join(
                 " ".join(p.word or "(empty)" if isinstance(p, LatticePath) else str(p) for p in item)
@@ -211,13 +196,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     if failures:
         raise ConsistencyError(f"{len(failures)} case(s) failed: " + " | ".join(failures))
-    lines = [
-        f"{row['case']}: ok (domain {row['domain_size']}, codomain {row['codomain_size']})"
-        for row in rows
-    ]
+    lines = [f"{row['case']}: ok (domain {row['domain_size']}, codomain {row['codomain_size']})" for row in rows]
     lines.append(f"all {len(rows)} cases ok")
-    parameters = {"target": args.target, "max_n": args.max_n, "max_m": max_m, "k": args.k}
-    return parameters, {"cases": rows, "ok": True}, lines
+    return {"max_m": max_m}, {"cases": rows, "ok": True}, lines
 
 
 # ---------- conjecture ----------
@@ -235,12 +216,8 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     agree(f"conjecture {args.which}", {"paths": paths, "partner": partners}, lambda i: f"n={sizes[i]}")
     lines = [f"n={n}: paths {lhs}, partner {rhs} ==" for n, lhs, rhs in report.rows]
     lines.append("agree")
-    parameters = {"which": args.which, "max_n": args.max_n}
-    result = {
-        "rows": [{"n": n, "paths": lhs, "partner": rhs} for n, lhs, rhs in report.rows],
-        "verdict": report.verdict,
-    }
-    return parameters, result, lines
+    rows = [{"n": n, "paths": lhs, "partner": rhs} for n, lhs, rhs in report.rows]
+    return {}, {"rows": rows, "verdict": report.verdict}, lines
 
 
 # ---------- bfile ----------
@@ -269,8 +246,7 @@ def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     charge, sequence = _BFILE_SEQUENCES[args.sequence]
     _guard_budget([charge(args.order, args.budget)], args.budget)
     values = sequence(args.order)
-    parameters = {"sequence": args.sequence, "order": args.order}
-    return parameters, values, [f"{n} {value}" for n, value in enumerate(values)]
+    return {}, values, [f"{n} {value}" for n, value in enumerate(values)]
 
 
 # ---------- parser ----------
@@ -372,7 +348,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        parameters, result, lines = args.handler(args)
+        resolved, result, lines = args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -380,6 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"cross-check mismatch: {exc}", file=sys.stderr)
         return 2
     if getattr(args, "format", "text") == "json":  # bfile has no --format
+        parameters = {name: v for name, v in vars(args).items() if name not in _UNECHOED} | resolved
         print(json.dumps({"command": args.command, "parameters": parameters, "result": result}, indent=2))
     else:
         for line in lines:
