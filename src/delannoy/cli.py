@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from functools import partial
-from itertools import accumulate, tee
+from itertools import tee
 from typing import Any, Iterable
 
 # series, bijections and conjectures are imported by the commands that run them
@@ -41,9 +41,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _guard_budget(costs: Iterable[int], budget: int) -> None:
-    if any(total > budget for total in accumulate(costs)):  # stops at the first past the budget
-        raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
+def _guard_budget(charges: Iterable, budget: int) -> None:
+    left = budget  # each charge is told the budget and what the earlier ones left of it
+    for charge in charges:  # stops at the first past the budget
+        if (left := left - charge(budget, left)) < 0:
+            raise ValueError(f"size exceeds budget {budget}; reduce the bounds or raise --budget")
 
 
 # ---------- count ----------
@@ -72,7 +74,7 @@ def _cmd_count(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
     chosen = routes if method == "all" else {method: routes[method]}
     spec = counting.family_spec(family, n, m, k)
-    _guard_budget((charge(spec, args.budget) for charge, _ in chosen.values()), args.budget)
+    _guard_budget((partial(charge, spec) for charge, _ in chosen.values()), args.budget)
     values = {name: run(spec) for name, (_, run) in chosen.items()}
     value = agree(f"count {family} ({n}, {m})", values)
     lines = [str(value)]
@@ -94,7 +96,7 @@ def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         first_step=args.first,
         last_step=args.last,
     )
-    _guard_budget([counting.prefix_count(spec, args.budget)], args.budget)
+    _guard_budget([partial(counting.prefix_count, spec)], args.budget)
     words = [path.word for path in enumerate_paths(spec)]
     resolved = {"avoid": sorted(spec.forbidden), "avoid_aug": sorted(spec.forbidden_aug)}
     return resolved, {"count": len(words), "words": words}, words
@@ -179,7 +181,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError("no case to verify: tau's first corner is (1, 1)")
     cases, listed = tee(_verify_cases(args.target, args.max_n, max_m, args.k))  # generated once
     _guard_budget(  # each case walks its domain and its codomain
-        (counting.prefix_count(spec, args.budget) for case in listed for spec in case[1:4:2]), args.budget
+        (partial(counting.prefix_count, spec) for case in listed for spec in case[1:4:2]), args.budget
     )
 
     rows, failures = [], []
@@ -209,7 +211,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.max_n < 1:
         raise ValueError("--max-n must be positive")
     *_, cost = conjectures.CONJECTURES[args.which]  # its path DP's table and its partner table
-    _guard_budget([cost(args.max_n)], args.budget)
+    _guard_budget([lambda *_: cost(args.max_n)], args.budget)
     check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
     report = check(args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
@@ -231,7 +233,7 @@ def _series_coeffs(k: int, part: str, order: int) -> list[int]:
 # b-file sequence -> (charge, values at 0..order): the h table's diagonal, read off
 # its checked columns and charged its DP, or a region series' coefficients, free.
 _BFILE_SEQUENCES = {
-    "h-diag": (lambda order, _: counting._dp_cost(counting.family_spec("h", order, order)), lambda order: [
+    "h-diag": (lambda order, *_: counting._dp_cost(counting.family_spec("h", order, order)), lambda order: [
         column[n] for n, column in enumerate(counting.table_columns("h", order, order))]),
     "F1": (counting._FREE, partial(_series_coeffs, 1, "f")),
     "FD2": (counting._FREE, partial(_series_coeffs, 2, "fd")),
@@ -244,7 +246,7 @@ def _cmd_bfile(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     if args.order < 0:
         raise ValueError(f"order must be nonnegative, got {args.order}")
     charge, sequence = _BFILE_SEQUENCES[args.sequence]
-    _guard_budget([charge(args.order, args.budget)], args.budget)
+    _guard_budget([partial(charge, args.order)], args.budget)
     values = sequence(args.order)
     return {}, values, [f"{n} {value}" for n, value in enumerate(values)]
 

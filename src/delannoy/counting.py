@@ -162,18 +162,19 @@ def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
         yield list(reduce(partial(map, add), live)) if live else [0] * (spec.target[1] + 1)
 
 
-def _dp_cost(spec: PathFamilySpec, budget: int = 0) -> int:  # prefix_count's arguments: a route's charge
+def _dp_cost(spec: PathFamilySpec, *_: int) -> int:  # a route's charge takes prefix_count's arguments
     """The cells x states of the table ``spec_counts(spec)`` builds."""
     return (spec.target[0] + 1) * (spec.target[1] + 1) * _automaton(spec)[0]
 
 
-def prefix_count(spec: PathFamilySpec, budget: int) -> int:
+def prefix_count(spec: PathFamilySpec, budget: int, left: int | None = None) -> int:
     """The number of prefixes ``paths._member_words`` examines for spec, the empty
     word included: every state of ``_state_columns`` at every cell, ``last_step``
     dropped, and patterns longer than "E" plus the longest word dropped, as they
-    never occur.  Past ``budget`` it stops and returns a number above it: before
-    anything is built, the count's table, cells x a bound on the states, if that
-    is past ``budget``; else the first running total, column by column, past it."""
+    never occur.  It stops early and returns a number above ``left``, what earlier
+    charges left of ``budget`` (all of it by default): before anything is built,
+    the count's table, cells x a bound on the states, if that is past ``budget``;
+    else the first running total, column by column, past ``left``."""
     n, m = spec.target
     fits = {p for p in spec.forbidden | spec.forbidden_aug if len(p) <= n + m + 1}
     spec = PathFamilySpec(spec.target, spec.forbidden & fits, spec.forbidden_aug & fits,
@@ -185,7 +186,7 @@ def prefix_count(spec: PathFamilySpec, budget: int) -> int:
         return table
     for col in _state_columns(spec, _automaton(spec)):
         total += sum(map(sum, filter(None, col)))
-        if total > budget:
+        if total > (budget if left is None else left):
             break
     return total
 
@@ -323,15 +324,16 @@ def expand_bivariate(numerator: Mapping[tuple[int, int], int],
     return {(x, y): c for x, col in enumerate(columns) for y, c in enumerate(col)}
 
 
-_FREE = lambda spec, budget: 0  # noqa: E731
+_FREE = lambda spec, *_: 0  # noqa: E731
 
 
 # Every counted family: the fields of its PathFamilySpec beyond the corner,
 # whether its corner lies in the region y >= kx, and its counting routes,
 # default first; brute force over the spec counts every family too.  A route is
-# a (charge, run) pair over the family's spec: a DP is charged each table's
-# ``_dp_cost``, a closed form nothing.  A run looks its function up when it runs,
-# so rebinding a module attribute (a test mutation, a tracer) reaches every caller.
+# a (charge, run) pair over the family's spec, and its charge takes prefix_count's
+# arguments: a DP is charged each table's ``_dp_cost``, a closed form nothing.  A
+# run looks its function up when it runs, so rebinding a module attribute (a test
+# mutation, a tracer) reaches every caller.
 FAMILIES: dict[str, tuple[dict, bool, dict]] = {
     "delannoy": ({}, False, {"closed": (_FREE, lambda s: delannoy_count(*s.target))}),
     "h": ({"forbidden": {"NE", "EN"}}, False,
@@ -340,7 +342,7 @@ FAMILIES: dict[str, tuple[dict, bool, dict]] = {
           {"dp": (_dp_cost, lambda s: b_dp(*s.target)), "closed": (_FREE, lambda s: b_closed(*s.target))}),
     # a = b(n, m) - b(n-1, m-1) by definition, which is h's closed form; a_count builds b's table and h's
     "a": ({"forbidden_aug": {"D", "EENN"}}, False,
-          {"dp": (lambda s, budget: sum(_dp_cost(family_spec(t, *s.target)) for t in "bh"),
+          {"dp": (lambda s, *_: sum(_dp_cost(family_spec(t, *s.target)) for t in "bh"),
                   lambda s: a_count(*s.target)), "closed": (_FREE, lambda s: h_closed(*s.target))}),
     "schroeder": ({}, True, {"closed": (_FREE, lambda s: schroeder_count(s.target[0], s.region_k))}),
     "schroeder-rect": ({}, True, {"closed": (_FREE, lambda s: schroeder_rect_count(*s.target, s.region_k))}),

@@ -261,6 +261,22 @@ def test_count_all_is_charged_every_route_summed_before_any_runs(capsys, monkeyp
     assert (code, out) == (1, "") and "exceeds budget 87" in err
 
 
+def test_walk_charge_stops_at_what_the_earlier_routes_left(capsys, monkeypatch):
+    # a's DP is charged 9929367 of the default 10^7, so the walk's count stops at its first
+    # column past the 70633 left: 1191 + 708647 prefixes, not a third column of 280863206
+    totals, state_columns = [], counting_module._state_columns
+
+    def counted(spec, automaton):
+        for col in state_columns(spec, automaton):
+            totals.append(sum(map(sum, filter(None, col))))
+            yield col
+
+    monkeypatch.setattr(counting_module, "_state_columns", counted)
+    code, out, err = run(capsys, "count", "a", "1190", "1190", "--method", "all")
+    assert (code, out) == (1, "") and "exceeds budget 10000000" in err
+    assert totals == [1191, 708647]
+
+
 def test_a_pattern_longer_than_any_word_costs_nothing(capsys):
     plain = run(capsys, "enum", "--target", "1", "1")
     assert plain[0] == 0
