@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # Each home module and the names it exports.
 _EXPORTS = {
     "bijections": "BijectionReport delta_map pi_map tau_inverse tau_map verify_bijection",
-    "conjectures": "ConjectureReport InversionSequence check_conjecture1 check_conjecture2 "
-    "count_catalan_no_symmetric_peak count_inversion_102 inversion_sequences",
+    "conjectures": "ConjectureReport check_conjecture1 check_conjecture2 count_catalan_no_symmetric_peak "
+    "count_inversion_102",
     "counting": "CountTable a_count b_closed b_dp b_table binomial delannoy_count expand_bivariate "
     "h_closed h_dp h_table schroeder_count schroeder_rect_count",
     "errors": "ConsistencyError",

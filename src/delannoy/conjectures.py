@@ -18,44 +18,10 @@ from __future__ import annotations
 
 import itertools
 from operator import add, mul, sub
-from typing import Iterator
-
 from .counting import _dp_cost, family_spec, spec_counts
 # enumerate_paths and count_bruteforce stay bound here, unused: perfbench's
 # tracer rebinds both names on this module.
 from .paths import PathFamilySpec, _Record, count_bruteforce, enumerate_paths  # noqa: F401
-
-
-class InversionSequence(_Record):
-    """e_1 .. e_n with 0 <= e_i <= i-1; contains 102 iff e_j < e_i < e_k for i<j<k."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[int, ...]) -> None:
-        ints = tuple(map(int, entries))
-        for i, (e, given) in enumerate(zip(ints, entries)):
-            if e != given or not 0 <= e <= i:  # 1.0 is 1; 1.7 is refused, not truncated
-                raise ValueError(f"entry {given} at position {i + 1} is not an integer in [0, {i}]")
-        object.__setattr__(self, "entries", ints)
-
-    def has_pattern_102(self) -> bool:
-        e = self.entries
-        n = len(e)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if e[j] >= e[i]:
-                    continue
-                for k in range(j + 1, n):
-                    if e[k] > e[i]:
-                        return True
-        return False
-
-
-def inversion_sequences(n: int) -> Iterator[tuple[int, ...]]:
-    """All inversion sequences of length n (there are n! of them)."""
-    if n < 0:
-        raise ValueError(f"length must be nonnegative, got {n}")
-    return itertools.product(*(range(i + 1) for i in range(n)))
 
 
 def count_inversion_102(n: int) -> int:

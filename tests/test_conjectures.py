@@ -9,7 +9,6 @@ import tracemalloc
 import pytest
 
 from delannoy import (
-    InversionSequence,
     PathFamilySpec,
     assemble_triple,
     check_conjecture1,
@@ -18,9 +17,9 @@ from delannoy import (
     count_catalan_no_symmetric_peak,
     count_inversion_102,
     enumerate_paths,
-    inversion_sequences,
 )
 from delannoy.conjectures import inversion_102_counts, no_symmetric_peak_counts
+from helpers import InversionSequence, inversion_sequences
 
 
 def test_inversion_sequence_validation():

@@ -13,13 +13,13 @@ from delannoy import (
     BijectionReport,
     ConjectureReport,
     CountTable,
-    InversionSequence,
     LatticePath,
     PathFamilySpec,
     PowerSeries,
     RadicalCheck,
     SeriesTriple,
 )
+from helpers import InversionSequence
 
 S = PowerSeries((1, 1, 2))
 NO_PATTERNS = frozenset()
@@ -66,10 +66,6 @@ RECORDS = {
         {"counterexamples": ()},
         "BijectionReport(domain_size=1, codomain_size=1, injective=True, surjective=True, "
         "images_in_codomain=True, counterexamples=())",
-    ),
-    "InversionSequence": (
-        InversionSequence, {"entries": (0, 1, 0)}, {"entries": (0, 1, 1)}, {},
-        "InversionSequence(entries=(0, 1, 0))",
     ),
     "ConjectureReport": (
         ConjectureReport, {"which": 1, "n_max": 2, "rows": ((1, 1, 1), (2, 2, 2))}, {"which": 2}, {},
