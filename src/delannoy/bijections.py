@@ -127,11 +127,6 @@ def verify_bijection(
             preimage[q] = p
     codomain_paths = list(enumerate_paths(codomain))
     missed = [("not hit", q) for q in codomain_paths if q not in preimage]
-    return BijectionReport(
-        domain_size=len(preimage) + len(collisions),  # a first preimage or a collision
-        codomain_size=len(codomain_paths),
-        injective=not collisions,
-        surjective=not missed,
-        images_in_codomain=not outside,
-        counterexamples=tuple(outside + collisions + missed),
-    )
+    return BijectionReport(  # the domain's paths are each a first preimage or a collision
+        len(preimage) + len(collisions), len(codomain_paths), not collisions, not missed, not outside,
+        tuple(outside + collisions + missed))

@@ -191,7 +191,7 @@ def _check(which: int, n_max: int) -> ConjectureReport:
     partners = partner(n_max)
     columns = spec_counts(_path_spec(which, n_max))  # each column read as it passes
     rows = tuple((n, column[k * n], partners[n]) for n, column in enumerate(columns) if n >= 1)
-    return ConjectureReport(which=which, n_max=n_max, rows=rows)
+    return ConjectureReport(which, n_max, rows)
 
 
 def check_conjecture1(n_max: int) -> ConjectureReport:

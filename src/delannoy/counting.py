@@ -28,11 +28,12 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def _exact(num: int, den: int, what: str) -> int:
-    """num / den, which must be an integer; a remainder raises ConsistencyError."""
+def _exact(num: int, den: int, what: str, *parts) -> int:
+    """num / den, which must be an integer; a remainder raises ConsistencyError naming
+    ``what.format(*parts)``, formatted only then, since every step of a walk or a solve divides."""
     quotient, rem = divmod(num, den)
     if rem:
-        raise ConsistencyError(f"{what} is not an integer: remainder {rem} mod {den}")
+        raise ConsistencyError(f"{what.format(*parts)} is not an integer: remainder {rem} mod {den}")
     return quotient
 
 
@@ -41,7 +42,7 @@ def _term_walk(first: int, last: int, ratio, what: str) -> int:
     total = term = first
     for i in range(last):
         num, den = ratio(i)
-        term = _exact(term * num, den, f"{what} term {i + 1}")
+        term = _exact(term * num, den, "{} term {}", what, i + 1)
         total += term
     return total
 

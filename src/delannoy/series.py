@@ -145,7 +145,7 @@ def _miller_next(g: list[int], p: list[int], a: int) -> int:
     """Next coefficient of P = G^a (g[0] = 1): m p_m = sum_j ((a+1) j - m) g_j p_(m-j)."""
     m = len(p)
     total = sum(((a + 1) * j - m) * g[j] * p[m - j] for j in range(1, m + 1))
-    return _exact(total, m, f"coefficient {m} of (1+FD)^{a}")
+    return _exact(total, m, "coefficient {} of (1+FD)^{}", m, a)
 
 
 # P-recurrences of G = 1 + FD: sum_(i=0..r) P_i(n) g_(n+i) = 0 for every n >= 0, each P_i listed
@@ -185,7 +185,7 @@ def _recurrence_next(polys: tuple[tuple[int, ...], ...], g: list[int]) -> int:
         for c in poly:
             value = value * n + c
         values.append(value)
-    return _exact(-sum(map(mul, values, g[n:])), values[-1], f"coefficient {len(g)} of 1+FD")
+    return _exact(-sum(map(mul, values, g[n:])), values[-1], "coefficient {} of 1+FD", len(g))
 
 
 class SeriesTriple(_Record):

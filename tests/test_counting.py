@@ -263,8 +263,8 @@ def _perturb_step(monkeypatch, label, shift):
     """Add shift to the term that the checked division labelled ``label`` returns."""
     exact = counting_module._exact
 
-    def perturbed(num, den, what):
-        return exact(num, den, what) + (shift if what == label else 0)
+    def perturbed(num, den, what, *parts):
+        return exact(num, den, what, *parts) + (shift if what.format(*parts) == label else 0)
 
     monkeypatch.setattr(counting_module, "_exact", perturbed)
 

@@ -422,8 +422,8 @@ def test_inexact_divisions_raise(monkeypatch):
     # closed_k2(4)'s F walks 143, -120, 21, the last step -120 * -84 / 480; -119 leaves a remainder
     exact = counting_module._exact
 
-    def perturbed(num, den, what):
-        return exact(num, den, what) + (what == "closed_k2(4) F term 1")
+    def perturbed(num, den, what, *parts):
+        return exact(num, den, what, *parts) + (what.format(*parts) == "closed_k2(4) F term 1")
 
     assert closed_k2(4) == (44, 22)
     monkeypatch.setattr(counting_module, "_exact", perturbed)
