@@ -142,10 +142,6 @@ def record(argv: list[str]) -> dict:
             "stderr": first if own else None}
 
 
-def write(records: list[dict]) -> None:
-    TRANSCRIPT.write_text("[\n" + ",\n".join(json.dumps(r) for r in records) + "\n]\n")
-
-
-if __name__ == "__main__":
-    write([record(argv) for argv in commands()])
+if __name__ == "__main__":  # one record a line, so a diff names each changed command
+    TRANSCRIPT.write_text("[\n" + ",\n".join(json.dumps(record(argv)) for argv in commands()) + "\n]\n")
     print(f"wrote {TRANSCRIPT}", file=sys.stderr)
