@@ -104,15 +104,20 @@ def _cmd_enum(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 # ---------- map ----------
 
-# Map names are looked up on the module when used, so rebinding a map there
-# reaches both map and verify.
-_MAPS = {"pi": "pi_map", "delta": "delta_map", "tau": "tau_map", "tau-inv": "tau_inverse"}
+# CLI map name -> (its function in bijections, looked up when used so rebinding it reaches map and
+# verify; its verify case or None: domain, codomain, codomain corner shift, excluded family, takes --k).
+_MAPS = {
+    "pi": ("pi_map", ("a", "h", 0, None, True)),
+    "delta": ("delta_map", ("h", "a", 0, None, True)),
+    "tau": ("tau_map", ("b", "b", 1, "a", False)),  # tau relates unrestricted families only
+    "tau-inv": ("tau_inverse", None),
+}
 
 
 def _cmd_map(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     from . import bijections
     path = parse_path(args.word)
-    image = getattr(bijections, _MAPS[args.name])(path)
+    image = getattr(bijections, _MAPS[args.name][0])(path)
     result = {"word": image.word, "start": list(image.start), "end": list(image.end)}
     return {}, result, [image.word]
 
@@ -143,28 +148,20 @@ def _cmd_series(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 # ---------- verify ----------
 
 
-# map -> (domain family, codomain family, codomain corner shift, family
-# excluded from the domain).
-_VERIFY_CASES = {
-    "pi": ("a", "h", 0, None),
-    "delta": ("h", "a", 0, None),
-    "tau": ("b", "b", 1, "a"),
-}
-
-
 def _verify_cases(target: str, max_n: int, max_m: int, k: int | None):
     """Yield (label, domain, mapping, codomain, exclude) for every grid corner."""
     from . import bijections
-    for name, (domain, codomain, shift, exclude) in _VERIFY_CASES.items():
-        if target not in (name, "all"):
+    for name, (function, case) in _MAPS.items():
+        if case is None or target not in (name, "all"):
             continue
-        region = None if name == "tau" else k  # tau relates unrestricted families only
+        domain, codomain, shift, exclude, regional = case
+        region = k if regional else None
         for n in range(shift, max_n + 1):
             for m in range(shift, max_m + 1):
                 yield (
                     f"{name} ({n},{m})",
                     counting.family_spec(domain, n, m, region_k=region),
-                    getattr(bijections, _MAPS[name]),
+                    getattr(bijections, function),
                     counting.family_spec(codomain, n - shift, m - shift, region_k=region),
                     counting.family_spec(exclude, n, m) if exclude else None,
                 )
@@ -175,10 +172,12 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
     max_m = args.max_n if args.max_m is None else args.max_m
     if args.max_n < 0 or max_m < 0:
         raise ValueError("bounds must be nonnegative")
-    if args.target == "tau" and args.k is not None:
-        raise ValueError("tau is a map between unrestricted families; --k does not apply")
-    if args.target == "tau" and min(args.max_n, max_m) < 1:  # pi and delta start at (0, 0)
-        raise ValueError("no case to verify: tau's first corner is (1, 1)")
+    if args.target in _MAPS:  # one map: refuse what it cannot verify
+        _, (_, _, shift, _, regional) = _MAPS[args.target]
+        if args.k is not None and not regional:
+            raise ValueError(f"{args.target} is a map between unrestricted families; --k does not apply")
+        if min(args.max_n, max_m) < shift:
+            raise ValueError(f"no case to verify: {args.target}'s first corner is ({shift}, {shift})")
     cases, listed = tee(_verify_cases(args.target, args.max_n, max_m, args.k))  # generated once
     _guard_budget(  # each case walks its domain and its codomain
         (partial(counting.prefix_count, spec) for case in listed for spec in case[1:4:2]), args.budget
@@ -212,8 +211,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         raise ValueError("--max-n must be positive")
     *_, cost = conjectures.CONJECTURES[args.which]  # its path DP's table and its partner table
     _guard_budget([lambda *_: cost(args.max_n)], args.budget)
-    check = conjectures.check_conjecture1 if args.which == 1 else conjectures.check_conjecture2
-    report = check(args.max_n)
+    report = conjectures._check(args.which, args.max_n)
     sizes, paths, partners = map(list, zip(*report.rows))
     agree(f"conjecture {args.which}", {"paths": paths, "partner": partners}, lambda i: f"n={sizes[i]}")
     lines = [f"n={n}: paths {lhs}, partner {rhs} ==" for n, lhs, rhs in report.rows]
@@ -317,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_series)
 
     p = sub.add_parser("verify", help="exhaustively verify the rewriting maps")
-    p.add_argument("target", choices=["pi", "delta", "tau", "all"])
+    p.add_argument("target", choices=[name for name, (_, case) in _MAPS.items() if case] + ["all"])
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--max-m", type=int, default=None)
     p.add_argument("--k", type=int, default=None, help="restrict to the region y >= k*x")

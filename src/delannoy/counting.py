@@ -2,11 +2,11 @@
 
 Three independent routes are kept deliberately separate so they can check one
 another: closed-form sums, one transfer-matrix dynamic program compiled from
-a family's spec (``spec_counts``), and (in the test suite) brute-force
-enumeration.  Every division is a checked integer division (``_exact``); no
-floats or fractions anywhere.  A closed-form sum computes one binomial for
-its first term and steps to each next term by the exact term ratio
-(``_term_walk``), so every step is a checked division.
+a family's spec (``spec_counts``), and brute-force enumeration, which the tests and
+``count --method bruteforce|all`` run, each walk charged by ``prefix_count``.  Every
+division is a checked integer division (``_exact``); no floats or fractions anywhere.
+A closed-form sum computes one binomial for its first term and steps to each next
+term by the exact term ratio (``_term_walk``), so every step is a checked division.
 """
 
 from __future__ import annotations

@@ -220,12 +220,13 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     fd = PowerSeries((0, *g[1:]))
     x = PowerSeries.x(order)
     one_fd = 1 + fd
-    powers = [1, one_fd, one_fd * one_fd]  # G^0, G^1, G^2, ... to G^k
-    while len(powers) <= k:
-        powers.append(powers[-1] * one_fd)
-    f = powers[2] - x * powers[k]
+    square = one_fd * one_fd
+    low, high = (1, one_fd) if k == 1 else (one_fd, square)  # G^(k-1), G^k: only these are kept
+    for _ in range(2, k):
+        low, high = high, high * one_fd
+    f = square - x * high
     agree(f"fixed point for k={k} not stable to order {order}",
-          {"solved": list(fd.coeffs), "substituted": list((x * powers[k - 1] * f).coeffs)}, "x^{}".format)
+          {"solved": list(fd.coeffs), "substituted": list((x * low * f).coeffs)}, "x^{}".format)
     return SeriesTriple(k, f, fd, f - one_fd)
 
 

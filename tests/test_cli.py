@@ -455,6 +455,17 @@ def test_verify_grid_with_no_case_is_refused(capsys):
     assert run(capsys, "verify", "all", "--max-n", "0")[0] == 0  # pi and delta at (0, 0)
 
 
+def test_verify_reads_each_case_from_the_map_table(capsys, monkeypatch):
+    # one more entry in the table is one more map to verify, under every command that reads it
+    monkeypatch.setitem(cli_module._MAPS, "pi-again", ("pi_map", ("a", "h", 0, None, True)))
+    code, out, _ = run(capsys, "verify", "all", "--max-n", "1")
+    assert code == 0 and out.endswith("all 13 cases ok\n")  # 4 corners each for pi, delta, pi-again; 1 for tau
+    assert "pi-again (1,1): ok (domain 1, codomain 1)" in out
+    code, out, _ = run(capsys, "verify", "pi-again", "--max-n", "1", "--k", "1")
+    assert code == 0 and out.endswith("all 4 cases ok\n")
+    assert run(capsys, "map", "pi-again", "NE")[1] == "D\n"
+
+
 def test_verify_mutation_fails_with_witnesses(capsys, monkeypatch):
     monkeypatch.setattr(bijections_module, "pi_map", lambda p: p)
     code, _, err = run(capsys, "verify", "pi", "--max-n", "2", "--max-m", "2")

@@ -1,6 +1,7 @@
 """The library imports only the standard library and itself, and never Fraction;
 ``import delannoy`` loads no submodule, and each CLI command loads only the
-modules it runs, and neither ``dataclasses`` nor ``inspect``."""
+modules it runs, and neither ``dataclasses`` nor ``inspect``.  Every source file
+parses under the grammar of Python 3.10, the oldest version pyproject.toml admits."""
 
 from __future__ import annotations
 
@@ -15,7 +16,8 @@ import pytest
 
 import delannoy
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "delannoy"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "delannoy"
 
 
 def _imported_modules(tree: ast.Module):
@@ -33,6 +35,12 @@ def test_imports_are_stdlib_or_the_package(source):
         top = name.split(".")[0]
         assert name == "." or top == "delannoy" or top in sys.stdlib_module_names, name
         assert top != "fractions", f"{source} imports fractions: exact division is counting._exact"
+
+
+@pytest.mark.parametrize("source", sorted(
+    str(p.relative_to(ROOT)) for folder in ("src", "tests", "demos") for p in (ROOT / folder).rglob("*.py")))
+def test_parses_under_python_3_10(source):
+    ast.parse((ROOT / source).read_text(), filename=source, feature_version=(3, 10))
 
 
 # Standard-library modules no command needs: importing dataclasses, which imports

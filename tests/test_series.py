@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -345,6 +346,19 @@ def test_check_forms_each_power_of_g_once(monkeypatch, k):
     assemble_triple(k, 20)
     assert sum(squares) == 1
     assert len(squares) == max(k, 2) + 2
+
+
+def test_check_keeps_two_powers_of_g_at_a_time():
+    """The check reads G^2, G^(k-1) and G^k only: it keeps the last two powers as it
+    forms them, not every power to G^k (4.4 MB at k = 20000, order 3, when it did)."""
+    tracemalloc.start()
+    try:
+        triple = assemble_triple(5000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert triple.fd.coeffs == (0, 1, 5000, 37497501)  # g_3 = (k+1)k + C(k+1, 2) - (2k-1)
+    assert peak < 400_000  # the 5001 powers took 1.1 MB
 
 
 @pytest.mark.parametrize("k,at_most", [(3, 7), (5, 9)])
