@@ -16,7 +16,8 @@ itself, each distinct power of G kept once by J.C.P. Miller's recurrence
 (Knuth, TAOCP 2, 4.7).  Either solve is substituted once into the equation as
 the independent check, factored as FD = x G^(k-1) F: its factor F = G^2 - x G^k
 is the full series, and FE = F - G.  A product of equal series takes each cross
-term once.  Everything is integer arithmetic; square roots are never taken.
+term once.  The k = 1 radical form is checked by the differential equation of
+its root, in O(N).  Integer arithmetic throughout; square roots are never taken.
 """
 
 from __future__ import annotations
@@ -279,25 +280,24 @@ class RadicalCheck(_Record):
 
 
 def radical_check_k1(order: int, triple: SeriesTriple | None = None) -> RadicalCheck:
-    """Verify the k=1 closed algebraic form without extracting a square root.
+    """Verify the k=1 closed algebraic form by a differential equation, not by squaring.
 
-    With P = (1-x)^2 - 2 x^2 F, the claim is P^2 = (1-x)^4 - 4 x^2 (1-x)
-    together with FD = x F and FE = (1-x) F - 1, coefficientwise up to the
-    truncation order.  Reports the first failing coefficient index, if any.
-    """
+    P = (1-x)^2 - 2 x^2 F must be sqrt(D), D = 1 - 4x + 2x^2 + x^4, with FD = x F and FE =
+    (1-x) F - 1, up to the order. P^2 = D gives 2 D P' = D' P; as D(0) = 1, that fixes p_n from
+    p_(<n), and p_0 = 1 picks +sqrt(D). [x^(n-1)](D P' - D' P / 2) = n p_n - (4n-6) p_(n-1)
+    + (2n-6) p_(n-2) + (n-6) p_(n-4) is first nonzero where P first leaves sqrt(D), as P^2 - D
+    is: O(order) operations, no series product. Reports the first failing index, if any."""
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     if triple is None:
         triple = assemble_triple(1, order)
     if triple.k != 1:
         raise ValueError(f"the radical identity is for k=1, got a triple for k={triple.k}")
-    f, fd, fe = (s.truncate(order) for s in (triple.f, triple.fd, triple.fe))
-    x = PowerSeries.x(order)
-    one_minus_x = 1 - x
-    lhs = (one_minus_x**2 - 2 * x * x * f) ** 2
-    rhs = one_minus_x**4 - 4 * x * x * one_minus_x
-    pairs = ((lhs, rhs), (fd, x * f), (fe, one_minus_x * f - 1))
-    if all(left == right for left, right in pairs):
-        return RadicalCheck(True, None)
-    return RadicalCheck(False, next(
-        i for i in range(order + 1) if any(left[i] != right[i] for left, right in pairs)))
+    f, fd, fe = (s.truncate(order).coeffs for s in (triple.f, triple.fd, triple.fe))
+    p = [0, 0, 0, 0, 1, -2, 1 - 2 * f[0], *(-2 * c for c in f[1:order - 1])]  # p_n at p[n + 4]
+    prev = (0, *f)  # f_(n-1) at prev[n]
+    for n in range(order + 1):
+        if (n * p[n + 4] - (4 * n - 6) * p[n + 3] + (2 * n - 6) * p[n + 2] + (n - 6) * p[n]
+                or fd[n] != prev[n] or fe[n] != f[n] - prev[n] - (n == 0)):
+            return RadicalCheck(False, n)
+    return RadicalCheck(True, None)

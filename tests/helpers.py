@@ -1,8 +1,9 @@
 """Helpers that only the tests use: the step alphabet as an enum, factor
 containment, the augment/diminish pair on paths, the trinomial and Catalan
-numbers, and inversion sequences with their 102 test.  The library itself
-works on plain step words and counts inversion sequences without listing
-them, so these live here."""
+numbers, inversion sequences with their 102 test, and the k=1 radical check
+by squaring.  The library itself works on plain step words, counts inversion
+sequences without listing them and checks the radical form by its
+differential equation, so these live here."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from typing import Iterator
 
 from delannoy.counting import _exact, binomial
 from delannoy.paths import _DISPLACEMENT, LatticePath, Point, _as_patterns, _Record
+from delannoy.series import PowerSeries, RadicalCheck, SeriesTriple
 
 
 class Step(str, enum.Enum):
@@ -99,3 +101,19 @@ def inversion_sequences(n: int) -> Iterator[tuple[int, ...]]:
     if n < 0:
         raise ValueError(f"length must be nonnegative, got {n}")
     return itertools.product(*(range(i + 1) for i in range(n)))
+
+
+def radical_check_by_squaring(order: int, triple: SeriesTriple) -> RadicalCheck:
+    """The k=1 radical check by series products: P = (1-x)^2 - 2 x^2 F squared against
+    (1-x)^4 - 4 x^2 (1-x), with FD = x F and FE = (1-x) F - 1, O(order^2); the first
+    index where any of the three pairs differs."""
+    f, fd, fe = (s.truncate(order) for s in (triple.f, triple.fd, triple.fe))
+    x = PowerSeries.x(order)
+    one_minus_x = 1 - x
+    lhs = (one_minus_x**2 - 2 * x * x * f) ** 2
+    rhs = one_minus_x**4 - 4 * x * x * one_minus_x
+    pairs = ((lhs, rhs), (fd, x * f), (fe, one_minus_x * f - 1))
+    if all(left == right for left, right in pairs):
+        return RadicalCheck(True, None)
+    return RadicalCheck(False, next(
+        i for i in range(order + 1) if any(left[i] != right[i] for left, right in pairs)))

@@ -14,6 +14,7 @@ import delannoy.series as series_module
 from delannoy import (
     ConsistencyError,
     PowerSeries,
+    RadicalCheck,
     SeriesTriple,
     assemble_triple,
     closed_k1,
@@ -24,7 +25,7 @@ from delannoy import (
 )
 from delannoy.counting import family_spec, spec_counts
 
-from helpers import catalan
+from helpers import catalan, radical_check_by_squaring
 
 # Leading coefficients of the three series for each slope, frozen from the
 # closed forms and cross-checked against brute-force path counts elsewhere.
@@ -217,6 +218,121 @@ def test_radical_identity_rejects_corrupted_series():
     assert not check.ok
     assert check.first_mismatch == 5  # the corrupted coefficient
     assert not bool(check)
+
+
+_K1_SERIES = ("f", "fd", "fe")
+
+
+@functools.cache
+def _k1_triple(order):
+    return assemble_triple(1, order)
+
+
+def _moved(triple, moves):
+    """A copy of a k=1 triple with moves[(name, index)] added to those coefficients."""
+    coeffs = {name: list(getattr(triple, name).coeffs) for name in _K1_SERIES}
+    for (name, index), delta in moves.items():
+        coeffs[name][index] += delta
+    return SeriesTriple(1, *(PowerSeries(tuple(coeffs[name])) for name in _K1_SERIES))
+
+
+@given(st.data())
+@settings(deadline=None)
+def test_radical_check_matches_the_squaring_oracle(data):
+    """The differential-equation check and the squaring check agree on the verdict and on
+    the first failing index, for triples built at the order or a few past it and moved at
+    up to three coefficients, 0 and the order among them."""
+    order = data.draw(st.integers(0, 60), label="order")
+    built = order + data.draw(st.integers(0, 3), label="built past the order")
+    moves = data.draw(st.dictionaries(
+        st.tuples(st.sampled_from(_K1_SERIES), st.sampled_from((0, order)) | st.integers(0, built)),
+        st.integers(-3, 3) | st.integers(-2**80, 2**80), max_size=3), label="moves")
+    mutant = _moved(_k1_triple(built), moves)
+    assert radical_check_k1(order, mutant) == radical_check_by_squaring(order, mutant)
+
+
+def test_radical_check_at_order_400_matches_the_squaring_oracle():
+    """Long coefficients: each series moved at the last index, and F moved at 398 with FD and
+    FE moved along, so that only the radical equation sees it (P moves at 400)."""
+    triple = assemble_triple(1, 400)
+    consistent = {("f", 398): 1, ("fd", 399): 1, ("fe", 398): 1, ("fe", 399): -1}
+    for moves in ({("f", 400): 1}, {("fd", 400): -1}, {("fe", 400): 1}, consistent):
+        mutant = _moved(triple, moves)
+        check = radical_check_k1(400, mutant)
+        assert check == radical_check_by_squaring(400, mutant) == RadicalCheck(False, 400), moves
+    assert radical_check_k1(399, _moved(triple, consistent)).ok
+
+
+def _sqrt_delta(order):
+    """sqrt(D), D = 1 - 4x + 2x^2 + x^4, by s_n = (D_n - sum_(0<j<n) s_j s_(n-j)) / 2."""
+    delta = (1, -4, 2, 0, 1) + (0,) * order
+    s = [1]
+    for n in range(1, order + 1):
+        twice = delta[n] - sum(s[j] * s[n - j] for j in range(1, n))
+        assert twice % 2 == 0, n
+        s.append(twice // 2)
+    return s
+
+
+def _first_residual(p):
+    """The first n + 1 with [x^n](2 D P' - D' P) nonzero, each coefficient summed from D's
+    coefficients, or None: the rule the radical check expands by hand."""
+    d = (1, -4, 2, 0, 1)
+    d_prime = [(i + 1) * c for i, c in enumerate(d[1:])]
+
+    def at(j):
+        return p[j] if 0 <= j < len(p) else 0
+
+    for n in range(len(p) - 1):
+        if (sum(2 * c * (n - i + 1) * at(n - i + 1) for i, c in enumerate(d))
+                != sum(c * at(n - i) for i, c in enumerate(d_prime))):
+            return n + 1
+    return None
+
+
+def test_radical_rule_is_the_equation_of_sqrt_delta():
+    """The proof obligation: sqrt(D) to order 300 satisfies 2 D P' = D' P, it is
+    (1-x)^2 - 2 x^2 F for the solved F, and a copy moved by 1 at index i fails at i."""
+    s = _sqrt_delta(300)
+    assert _first_residual(s) is None
+    f = (0, 0) + assemble_triple(1, 300).f.coeffs  # f_(n-2) at n
+    assert s == [(1, -2, 1, 0)[min(n, 3)] - 2 * f[n] for n in range(301)]
+    for i in (1, 2, 3, 4, 5, 150, 299, 300):
+        moved = s[:i] + [s[i] + 1] + s[i + 1:]
+        assert _first_residual(moved) == i, i
+    for i in (2, 3, 150, 300):  # F moved by 1 at i - 2, FD and FE along, moves P by -2 at i
+        moves = {("f", i - 2): 1, ("fd", i - 1): 1, ("fe", i - 2): 1, ("fe", i - 1): -1}
+        assert radical_check_k1(300, _moved(_k1_triple(300), moves)) == RadicalCheck(False, i), i
+
+
+def test_radical_check_makes_no_series_product(monkeypatch):
+    """On a triple already built the check is O(order): no PowerSeries product at all,
+    where the squaring oracle takes several."""
+    triple = assemble_triple(1, 120)
+    calls = []
+    honest_mul = PowerSeries.__mul__
+
+    def counted_mul(self, other):
+        calls.append(1)
+        return honest_mul(self, other)
+
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
+    monkeypatch.setattr(series_module.PowerSeries, "__rmul__", counted_mul)
+    assert radical_check_k1(120, triple).ok
+    assert calls == []
+    assert radical_check_by_squaring(120, triple).ok
+    assert len(calls) > 0  # the counter sees products
+
+
+def test_radical_check_truncates_the_triple_to_the_order():
+    short = assemble_triple(1, 10)
+    with pytest.raises(ValueError, match="cannot extend truncation 10 to 12"):
+        radical_check_k1(12, short)
+    mutant = _moved(assemble_triple(1, 30), {("f", 25): 7})
+    assert radical_check_k1(24, mutant).ok  # checked only up to the order
+    assert radical_check_k1(25, mutant) == RadicalCheck(False, 25)
+    assert radical_check_k1(0, short).ok
+    assert radical_check_k1(0, _moved(short, {("fe", 0): 1})) == RadicalCheck(False, 0)
 
 
 def test_substitution_identity_for_k2():
