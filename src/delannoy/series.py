@@ -18,11 +18,13 @@ the independent check, factored as FD = x G^(k-1) F: its factor F = G^2 - x G^k
 is the full series, and FE = F - G.  A product of equal series takes each cross
 term once.  The k = 1 radical form is checked by the differential equation of
 its root, in O(N).  Integer arithmetic throughout; square roots are never taken.
+A checked triple is kept per slope, so a later call at that order or below is
+answered from it without a second solve.
 """
 
 from __future__ import annotations
 
-from operator import mul
+from operator import index, mul
 
 from .counting import _exact, _term_walk, binomial
 from .errors import agree
@@ -195,6 +197,11 @@ class SeriesTriple(_Record):
     __slots__ = ("k", "f", "fd", "fe")
 
 
+# slope -> the longest triple that passed its check, least recently used first
+_CHECKED: dict[int, SeriesTriple] = {}
+_SLOPES_KEPT = 4
+
+
 def assemble_triple(k: int, order: int) -> SeriesTriple:
     """(F, FD, FE): FD solved online, checked once, and F and FE read off the check.
 
@@ -203,10 +210,21 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), each distinct power by one Miller
     recurrence (G^(2k-1) is G at k = 1 and G^(k+1) at k = 2), O(order^2). The check
     FD = x G^(k-1) F forms F = G^2 - x G^k, each power of G once, and FE = F - G.
+
+    The longest triple that passed the check is kept for each of the last four slopes
+    used. A call at its order returns it, and a lower order its truncation, checked too:
+    coefficient j of every product reads only coefficients <= j. A longer call solves
+    and checks afresh at exactly its order, and keeps that triple in its place.
     """
-    k = _as_slope(k)
+    k, order = _as_slope(k), index(order)  # a float order is refused, kept triple or not
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
+    kept = _CHECKED.pop(k, None)  # put back last, as the most recently used
+    if kept is not None and kept.f.order >= order:
+        _CHECKED[k] = kept
+        if kept.f.order == order:
+            return kept
+        return SeriesTriple(k, *(s.truncate(order) for s in (kept.f, kept.fd, kept.fe)))
     polys = _RECURRENCES.get(k)
     start = len(polys) - 1 if polys else order + 1  # the first coefficient the recurrence takes
     g, p = [1], [1]  # G, G^(k+1)
@@ -228,7 +246,10 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     f = square - x * high
     agree(f"fixed point for k={k} not stable to order {order}",
           {"solved": list(fd.coeffs), "substituted": list((x * low * f).coeffs)}, "x^{}".format)
-    return SeriesTriple(k, f, fd, f - one_fd)
+    triple = _CHECKED[k] = SeriesTriple(k, f, fd, f - one_fd)  # stored only once agree returned
+    if len(_CHECKED) > _SLOPES_KEPT:
+        del _CHECKED[next(iter(_CHECKED))]
+    return triple
 
 
 def solve_fd(k: int, order: int) -> PowerSeries:

@@ -8,12 +8,25 @@ import itertools
 import os
 import re
 
+import pytest
 from hypothesis import settings
+
+import delannoy.series as series_module
 
 # HYPOTHESIS_PROFILE=ci draws ten times the default examples for every property
 # test that does not set its own count, so CI tests the brute-force oracle harder.
 settings.register_profile("ci", max_examples=1000)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+@pytest.fixture(autouse=True)
+def _fresh_series_solves():
+    """Each test starts and ends with no checked triple kept, so a test that perturbs a
+    series route sees a fresh solve, not a triple an earlier test stored."""
+    series_module._CHECKED.clear()
+    yield
+    series_module._CHECKED.clear()
+
 
 _DISP = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}
 

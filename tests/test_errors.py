@@ -140,6 +140,7 @@ SITES = {
 @pytest.mark.parametrize("module,name,perturb,call,message", SITES.values(), ids=SITES)
 def test_every_site_names_each_route_and_its_value(monkeypatch, module, name, perturb, call, message):
     call()  # honest routes agree
+    series_module._CHECKED.clear()  # or the checked triple would answer the perturbed call
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     with pytest.raises(ConsistencyError) as raised:
         call()

@@ -305,6 +305,30 @@ def test_radical_rule_is_the_equation_of_sqrt_delta():
         assert radical_check_k1(300, _moved(_k1_triple(300), moves)) == RadicalCheck(False, i), i
 
 
+def test_inverse_sqrt_delta_recurrence_is_its_equation():
+    """The proof obligation for d = 1/sqrt(D): d^2 D = 1 gives 2 D d' + D' d = 0, whose
+    coefficient n is (n+1) d_(n+1) = (4n+2) d_n - 2n d_(n-1) - (n-1) d_(n-3), d zero at
+    negative indices; and d_n is b(n, n), d_n - d_(n-1) is h(n, n)."""
+    s = _sqrt_delta(300)
+    d = [1]  # the exact inverse of s, s_0 = 1: d_n = -sum_(0<j<=n) s_j d_(n-j)
+    for n in range(1, 301):
+        d.append(-sum(s[j] * d[n - j] for j in range(1, n + 1)))
+    delta = (1, -4, 2, 0, 1)
+    delta_prime = [(i + 1) * c for i, c in enumerate(delta[1:])]
+
+    def at(j):
+        return d[j] if j >= 0 else 0
+
+    for n in range(300):  # [x^n](2 D d' + D' d) reads d up to n + 1
+        assert (sum(2 * c * (n - i + 1) * at(n - i + 1) for i, c in enumerate(delta))
+                + sum(c * at(n - i) for i, c in enumerate(delta_prime))) == 0, n
+        assert (n + 1) * d[n + 1] == (4 * n + 2) * d[n] - 2 * n * at(n - 1) - (n - 1) * at(n - 3), n
+    h, b = (list(counting_module.table_columns(kind, 60, 60)) for kind in "hb")
+    for n in range(61):
+        assert b[n][n] == d[n], n
+        assert h[n][n] == d[n] - at(n - 1), n
+
+
 def test_radical_check_makes_no_series_product(monkeypatch):
     """On a triple already built the check is O(order): no PowerSeries product at all,
     where the squaring oracle takes several."""
@@ -491,8 +515,75 @@ def test_checks_take_each_power_once(monkeypatch, k, at_most):
     monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
     for solve in (solve_fd, assemble_triple):
         calls.clear()
+        series_module._CHECKED.clear()  # or the second call is answered by the first's triple
         solve(k, 40)
         assert len(calls) <= at_most, solve.__name__
+
+
+@given(st.integers(1, 5), st.integers(0, 150), st.integers(0, 150))
+@settings(deadline=None)
+def test_a_kept_triple_answers_as_a_fresh_solve(k, first, second):
+    """After a call at one order, a call at another equals a fresh solve, field for field:
+    the kept triple's truncation below its order, a new solve above it."""
+    series_module._CHECKED.clear()
+    kept = assemble_triple(k, first)
+    got = assemble_triple(k, second)
+    series_module._CHECKED.clear()
+    fresh = assemble_triple(k, second)
+    for name in SeriesTriple.__slots__:
+        assert getattr(got, name) == getattr(fresh, name), name
+    assert got.f.order == got.fd.order == got.fe.order == second
+    if first == second:
+        assert got is kept
+
+
+def test_a_failed_check_keeps_no_triple(monkeypatch):
+    """A check that raises leaves no triple for its slope, not even the shorter one kept
+    before it, so the next honest call solves and checks again."""
+    honest_mul = PowerSeries.__mul__
+    honest = assemble_triple(2, 10)
+
+    def perturbed_mul(self, other):
+        coeffs = list(honest_mul(self, other).coeffs)
+        coeffs[3] += 1
+        return PowerSeries(tuple(coeffs))
+
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", perturbed_mul)
+    with pytest.raises(ConsistencyError):
+        assemble_triple(2, 20)
+    assert 2 not in series_module._CHECKED
+    calls = []
+
+    def counted_mul(self, other):
+        calls.append(1)
+        return honest_mul(self, other)
+
+    monkeypatch.setattr(series_module.PowerSeries, "__mul__", counted_mul)
+    assert assemble_triple(2, 10) == honest
+    assert len(calls) == 4  # the check's products at k = 2 (test_check_forms_each_power_of_g_once)
+    calls.clear()
+    assemble_triple(2, 7)
+    assert calls == []  # answered by the triple just checked
+
+
+def test_a_float_order_is_refused_with_a_triple_kept():
+    for kept in (False, True):
+        if kept:
+            assemble_triple(1, 3)
+        for order in (3.0, 2.0):
+            with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+                assemble_triple(1, order)
+    assert assemble_triple(1, True).f.coeffs == (1, 1)  # a bool is the integer it is, as before
+
+
+def test_at_most_four_slopes_are_kept():
+    """The least recently used slope goes first once a fifth is kept."""
+    for k in range(1, 51):
+        assemble_triple(k, 3)
+    assert list(series_module._CHECKED) == [47, 48, 49, 50]
+    assemble_triple(47, 2)  # used again, so no longer the least recent
+    assemble_triple(51, 3)
+    assert list(series_module._CHECKED) == [49, 50, 47, 51]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])

@@ -45,8 +45,9 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     for metric, direction in better.items():
         row = {}
         for side, by_pair in sides.items():
-            q1, median, q3 = statistics.quantiles([by_pair[p][metric] for p in pairs], n=4,
-                                                  method="inclusive")
+            values = [by_pair[p][metric] for p in pairs]  # one pair is its own quartiles
+            q1, median, q3 = (statistics.quantiles(values, n=4, method="inclusive")
+                              if len(values) > 1 else values * 3)
             row[side] = {"q1": q1, "median": median, "q3": q3}
         sign = 1 if direction == "lower" else -1
         row["change_wins"] = sum(
