@@ -349,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         resolved, result, lines = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: a corner past what math.comb takes
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except ConsistencyError as exc:

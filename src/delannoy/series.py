@@ -1,4 +1,4 @@
-"""Truncated integer power series and the k-Schroeder generating functions.
+"""The k-Schroeder generating functions, as truncated integer power series.
 
 The generating function for peak/valley-free paths in y >= kx, graded by
 x-coordinate of the endpoint on y = kx, splits as F = 1 + FD + FE where FD
@@ -15,9 +15,11 @@ first coefficients, and every coefficient from k = 4 on, come from the equation
 itself, each distinct power of G kept once by J.C.P. Miller's recurrence
 (Knuth, TAOCP 2, 4.7).  Either solve is substituted once into the equation as
 the independent check, factored as FD = x G^(k-1) F: its factor F = G^2 - x G^k
-is the full series, and FE = F - G.  A product of equal series takes each cross
-term once.  The k = 1 radical form is checked by the differential equation of
-its root, in O(N).  Integer arithmetic throughout; square roots are never taken.
+is the full series, and FE = F - G.  The check multiplies G's coefficient list
+by one product kernel, k products in all, one of them the square, which takes
+each cross term once; multiplying by x is a shift.  The k = 1 radical form is
+checked by the differential equation of its root, in O(N).  Integer arithmetic
+throughout; square roots are never taken.
 A checked triple is kept per slope, so a later call at that order or below is
 answered from it without a second solve.
 """
@@ -36,31 +38,13 @@ class PowerSeries(_Record):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[int, ...]) -> None:
+    def __init__(self, coeffs: "tuple[int, ...] | list[int]") -> None:
         if not coeffs:
             raise ValueError("a truncated series stores at least the constant term")
         ints = tuple(map(int, coeffs))
         if ints != tuple(coeffs):  # 2.0 is 2; 2.5 is refused, not truncated
             raise ValueError(f"coefficients must be integers, got {coeffs}")
         object.__setattr__(self, "coeffs", ints)
-
-    @classmethod
-    def constant(cls, value: int, order: int) -> "PowerSeries":
-        return cls((value,) + (0,) * order)
-
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls.constant(0, order)
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls.constant(1, order)
-
-    @classmethod
-    def x(cls, order: int) -> "PowerSeries":
-        if order == 0:
-            return cls((0,))
-        return cls((0, 1) + (0,) * (order - 1))
 
     @property
     def order(self) -> int:
@@ -76,72 +60,26 @@ class PowerSeries(_Record):
             raise ValueError(f"cannot extend truncation {self.order} to {order}")
         return PowerSeries(self.coeffs[: order + 1])
 
-    @staticmethod
-    def _coerce(value: "PowerSeries | int", order: int) -> "PowerSeries":
-        if isinstance(value, PowerSeries):
-            return value
-        return PowerSeries.constant(value, order)
 
-    def _align(self, other: "PowerSeries | int") -> tuple[tuple[int, ...], tuple[int, ...]]:
-        # mixed orders truncate to the smaller one
-        rhs = self._coerce(other, self.order)
-        n = min(self.order, rhs.order)
-        return self.coeffs[: n + 1], rhs.coeffs[: n + 1]
-
-    def __add__(self, other: "PowerSeries | int") -> "PowerSeries":
-        a, b = self._align(other)
-        return PowerSeries(tuple(x + y for x, y in zip(a, b)))
-
-    __radd__ = __add__
-
-    def __sub__(self, other: "PowerSeries | int") -> "PowerSeries":
-        a, b = self._align(other)
-        return PowerSeries(tuple(x - y for x, y in zip(a, b)))
-
-    def __rsub__(self, other: int) -> "PowerSeries":
-        return self._coerce(other, self.order) - self
-
-    def __mul__(self, other: "PowerSeries | int") -> "PowerSeries":
-        if isinstance(other, int):
-            return PowerSeries(tuple(other * c for c in self.coeffs))
-        a, b = self._align(other)
-        n = len(a) - 1
-        out = [0] * (n + 1)
-        if a == b:  # a square: a_i^2 once, and each cross term a_i a_j (i < j) once, doubled
-            for i, ai in enumerate(a[: n // 2 + 1]):
-                if ai:
-                    out[2 * i] += ai * ai
-                    twice = 2 * ai
-                    for j in range(i + 1, n + 1 - i):
-                        out[i + j] += twice * a[j]
-            return PowerSeries(tuple(out))
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n + 1 - i):
-                out[i + j] += ai * b[j]
-        return PowerSeries(tuple(out))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> "PowerSeries":
-        if exponent < 0:
-            raise ValueError("negative powers are not defined for truncated series")
-        result = PowerSeries.one(self.order)
-        for _ in range(exponent):
-            result = result * self
-        return result
-
-    def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` (with zero constant term) for the variable."""
-        if inner.coeffs[0] != 0:
-            raise ValueError("composition needs an inner series with zero constant term")
-        n = min(self.order, inner.order)
-        result = PowerSeries.zero(n)
-        trimmed = inner.truncate(n)
-        for c in reversed(self.coeffs[: n + 1]):
-            result = result * trimmed + c
-        return result
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Coefficients of a b up to the shorter operand's order. A square takes a_i^2 once and each
+    cross term a_i a_j (i < j) once, doubled; any other product skips a's zero coefficients."""
+    n = min(len(a), len(b))
+    out = [0] * n
+    if a == b:
+        for i, ai in enumerate(a[: (n + 1) // 2]):
+            if ai:
+                out[2 * i] += ai * ai
+                twice = 2 * ai
+                for j in range(i + 1, n - i):
+                    out[i + j] += twice * a[j]
+        return out
+    for i, ai in enumerate(a[:n]):
+        if ai == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] += ai * b[j]
+    return out
 
 
 def _miller_next(g: list[int], p: list[int], a: int) -> int:
@@ -209,7 +147,8 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     first r, O(order) in all. Those r, and from k = 4 on every coefficient, are
     [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), each distinct power by one Miller
     recurrence (G^(2k-1) is G at k = 1 and G^(k+1) at k = 2), O(order^2). The check
-    FD = x G^(k-1) F forms F = G^2 - x G^k, each power of G once, and FE = F - G.
+    FD = x G^(k-1) F forms F = G^2 - x G^k on coefficient lists, each power of G once: one
+    square and k - 1 further products (none at k = 1), each x a shift. FE = F - G.
 
     The longest triple that passed the check is kept for each of the last four slopes
     used. A call at its order returns it, and a lower order its truncation, checked too:
@@ -236,17 +175,17 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
             q.append(_miller_next(g, q, 2 * k - 1))
     for _ in range(start, order + 1):
         g.append(_recurrence_next(polys, g))
-    fd = PowerSeries((0, *g[1:]))
-    x = PowerSeries.x(order)
-    one_fd = 1 + fd
-    square = one_fd * one_fd
-    low, high = (1, one_fd) if k == 1 else (one_fd, square)  # G^(k-1), G^k: only these are kept
+    square = _product(g, g)
+    low, high = (None, g) if k == 1 else (g, square)  # G^(k-1), G^k: only these are kept
     for _ in range(2, k):
-        low, high = high, high * one_fd
-    f = square - x * high
+        low, high = high, _product(high, g)
+    f = [s - t for s, t in zip(square, [0, *high])]  # F = G^2 - x G^k, x as a shift
+    fd = [0, *g[1:]]
     agree(f"fixed point for k={k} not stable to order {order}",
-          {"solved": list(fd.coeffs), "substituted": list((x * low * f).coeffs)}, "x^{}".format)
-    triple = _CHECKED[k] = SeriesTriple(k, f, fd, f - one_fd)  # stored only once agree returned
+          {"solved": fd, "substituted": [0, *(f if low is None else _product(low, f))[:-1]]},
+          "x^{}".format)
+    triple = _CHECKED[k] = SeriesTriple(  # stored only once agree returned
+        k, PowerSeries(f), PowerSeries(fd), PowerSeries([s - t for s, t in zip(f, g)]))
     if len(_CHECKED) > _SLOPES_KEPT:
         del _CHECKED[next(iter(_CHECKED))]
     return triple

@@ -1,8 +1,9 @@
 """Helpers that only the tests use: the step alphabet as an enum, factor
 containment, the augment/diminish pair on paths, the trinomial and Catalan
-numbers, inversion sequences with their 102 test, and the k=1 radical check
-by squaring.  The library itself works on plain step words, counts inversion
-sequences without listing them and checks the radical form by its
+numbers, inversion sequences with their 102 test, the plain convolution of two
+coefficient lists, and the k=1 radical check by squaring.  The library itself
+works on plain step words, counts inversion sequences without listing them,
+multiplies series by its own product kernel and checks the radical form by its
 differential equation, so these live here."""
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Iterator
 
 from delannoy.counting import _exact, binomial
 from delannoy.paths import _DISPLACEMENT, LatticePath, Point, _as_patterns, _Record
-from delannoy.series import PowerSeries, RadicalCheck, SeriesTriple
+from delannoy.series import RadicalCheck, SeriesTriple
 
 
 class Step(str, enum.Enum):
@@ -103,16 +104,24 @@ def inversion_sequences(n: int) -> Iterator[tuple[int, ...]]:
     return itertools.product(*(range(i + 1) for i in range(n)))
 
 
+def double_sum(a: list[int], b: list[int]) -> list[int]:
+    """The truncated product as the plain convolution: every (i, j) pair, no shortcut."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(n)]
+
+
 def radical_check_by_squaring(order: int, triple: SeriesTriple) -> RadicalCheck:
     """The k=1 radical check by series products: P = (1-x)^2 - 2 x^2 F squared against
     (1-x)^4 - 4 x^2 (1-x), with FD = x F and FE = (1-x) F - 1, O(order^2); the first
     index where any of the three pairs differs."""
-    f, fd, fe = (s.truncate(order) for s in (triple.f, triple.fd, triple.fe))
-    x = PowerSeries.x(order)
-    one_minus_x = 1 - x
-    lhs = (one_minus_x**2 - 2 * x * x * f) ** 2
-    rhs = one_minus_x**4 - 4 * x * x * one_minus_x
-    pairs = ((lhs, rhs), (fd, x * f), (fe, one_minus_x * f - 1))
+    f, fd, fe = (list(s.truncate(order).coeffs) for s in (triple.f, triple.fd, triple.fe))
+    one, x = [1] + [0] * order, [0, 1, *[0] * order][: order + 1]
+    one_minus_x = [a - b for a, b in zip(one, x)]
+    x2, square = double_sum(x, x), double_sum(one_minus_x, one_minus_x)
+    p = [a - 2 * b for a, b in zip(square, double_sum(x2, f))]
+    rhs = [a - 4 * b for a, b in zip(double_sum(square, square), double_sum(x2, one_minus_x))]
+    pairs = ((double_sum(p, p), rhs), (fd, double_sum(x, f)),
+             (fe, [a - b for a, b in zip(double_sum(one_minus_x, f), one)]))
     if all(left == right for left, right in pairs):
         return RadicalCheck(True, None)
     return RadicalCheck(False, next(

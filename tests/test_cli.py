@@ -89,6 +89,27 @@ def test_count_usage_errors(capsys):
     assert run(capsys, "count", "delannoy", "2", "2", "--method", "dp")[0] == 1
 
 
+HUGE = "99999999999999999999"  # past 2^63, where math.comb raises OverflowError
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("delannoy", HUGE, HUGE), 1),
+    (("schroeder", HUGE), 1),
+    (("schroeder-rect", HUGE, HUGE), 1),
+    (("h", HUGE, HUGE, "--method", "closed"), 1),
+    (("b", HUGE, HUGE, "--method", "closed"), 1),
+    (("a", HUGE, HUGE, "--method", "closed"), 1),
+    (("delannoy", HUGE, "5"), 0),  # a corner this far out with a short side still sums
+], ids=["delannoy", "schroeder", "schroeder-rect", "h-closed", "b-closed", "a-closed", "delannoy-N-5"])
+def test_a_closed_form_past_math_comb_is_refused_as_an_error(capsys, argv, code):
+    got, out, err = run(capsys, "count", *argv)
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ") and "must not exceed" in err
+    else:
+        assert err == "" and int(out) > 0
+
+
 def test_count_schroeder_names_a_bad_slope_before_its_corner(capsys):
     # the slope sets schroeder's corner (n, kn), so it is checked first
     code, out, err = run(capsys, "count", "schroeder", "3", "--k", "-1")

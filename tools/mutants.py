@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Committed mutation checks: each mutant in ``MUTANTS`` must make its tests fail.
+
+Usage, from the repository root:
+
+    python3 tools/mutants.py              # every mutant
+    python3 tools/mutants.py NAME [NAME]  # the named ones
+
+For each mutant the working tree (every tracked or untracked, not ignored file as
+it is on disk, exported as ``tools/bench_pairs.py`` exports it) is copied into a
+fresh temporary directory; the tree itself is never edited.  The mutant's tests
+run there once unmutated, and must pass; then its old text, which must occur
+exactly once in its file, is replaced by its new text and the same tests run
+again with ``-x``, and must fail.  The tool exits 1 if any mutant survives, if
+its old text no longer matches exactly once (so a refactor of the mutated code
+must update the table), or if its tests fail before the mutation.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import export_working_tree
+
+RUN_TIMEOUT_S = 600
+SERIES, COUNTING, PATHS = "src/delannoy/series.py", "src/delannoy/counting.py", "src/delannoy/paths.py"
+RADICAL = ("tests/test_series.py", "-k", "radical")
+CHECK = ("tests/test_series.py", "-k", "golden or non_fixed_point or product")
+
+# (name, file, exact old text, new text, pytest arguments)
+MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
+    ("radical-rule-term", SERIES, "(n - 6) * p[n]", "(n - 5) * p[n]", RADICAL),
+    ("slope-bound", PATHS, "int(k) != k or k < 1:", "int(k) != k or k < 0:",
+     ("tests/test_series.py", "tests/test_paths.py", "-k", "validation or slope")),
+    ("exact-ignores-remainder", COUNTING, "    if rem:\n", "    if False:\n",
+     ("tests/test_series.py", "-k", "inexact")),
+    ("region-first-cell", COUNTING, "lo, col = min(k * x, m + 1)", "lo, col = min(k * x + 1, m + 1)",
+     ("tests/test_counting.py",)),
+    ("square-cross-term-once", SERIES, "twice = 2 * ai", "twice = ai", CHECK),
+    ("product-zero-test-inverted", SERIES, "if ai == 0:", "if ai != 0:", CHECK),
+    ("check-drops-x-shift", SERIES, "zip(square, [0, *high])", "zip(square, high)", CHECK),
+)
+
+
+def apply(copy: Path, file: str, old: str, new: str) -> None:
+    path = copy / file
+    text = path.read_text()
+    if text.count(old) != 1:
+        raise ValueError(f"{file} holds the old text {text.count(old)} times, not once: {old!r}")
+    path.write_text(text.replace(old, new))
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> int:
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(copy / "src")}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, timeout=RUN_TIMEOUT_S).returncode
+
+
+def check(name: str, file: str, old: str, new: str, tests: tuple[str, ...]) -> str:
+    """'killed', or why the mutant fails the tool."""
+    with tempfile.TemporaryDirectory(prefix=f"mutant_{name}_") as tmp:
+        copy = Path(tmp)
+        export_working_tree(copy)
+        if (code := run_tests(copy, tests)) != 0:
+            return f"its tests fail unmutated (pytest exit {code})"
+        try:
+            apply(copy, file, old, new)
+        except ValueError as exc:
+            return f"stale: {exc}"
+        code = run_tests(copy, tests)
+    return {0: "SURVIVED", 1: "killed"}.get(code, f"pytest exit {code}, not a test failure")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("names", nargs="*", help="mutants to run; all by default")
+    args = parser.parse_args(argv)
+    unknown = set(args.names) - {row[0] for row in MUTANTS}
+    if unknown:
+        parser.error(f"no such mutant: {', '.join(sorted(unknown))}")
+    failed = 0
+    for row in MUTANTS:
+        if args.names and row[0] not in args.names:
+            continue
+        verdict = check(*row)
+        print(f"{row[0]}: {verdict}", flush=True)
+        failed += verdict != "killed"
+    print(f"{failed} of {len(args.names or MUTANTS)} mutants not killed")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
