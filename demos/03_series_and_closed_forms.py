@@ -22,9 +22,9 @@ from delannoy import (
 for k in (1, 2, 3):
     triple = assemble_triple(k, 7)
     print(f"k={k}")
-    print(f"  F  : {triple.f.coeffs}")
-    print(f"  FD : {triple.fd.coeffs}")
-    print(f"  FE : {triple.fe.coeffs}")
+    print(f"  F  : {triple.f}")
+    print(f"  FD : {triple.fd}")
+    print(f"  FE : {triple.fe}")
 print()
 
 # The n-th coefficient really is a path count.
@@ -37,7 +37,7 @@ print()
 # The fixed-point solver computes one coefficient per step, then substitutes
 # the result once into the fixed-point equation as its check.
 fd = solve_fd(1, 10)
-print(f"FD for k=1 to order 10: {fd.coeffs}")
+print(f"FD for k=1 to order 10: {fd}")
 print()
 
 # Closed-form sums walked term to term, every step a checked exact division.

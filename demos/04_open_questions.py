@@ -49,7 +49,7 @@ print()
 triple = assemble_triple(2, 8)
 counts = inversion_102_counts(8)[1:]
 print(f"avoider counts n=1..8:   {counts}")
-print(f"FD(k=2) coefficients:    {list(triple.fd.coeffs[1:])}")
+print(f"FD(k=2) coefficients:    {list(triple.fd[1:])}")
 
 # A sequence with a 102 pattern, spelled out: entries 1, 0, 2 at positions
 # 2 < 3 < 4 satisfy e_j < e_i < e_k.

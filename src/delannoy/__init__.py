@@ -21,7 +21,7 @@ _EXPORTS = {
     "h_closed h_dp h_table schroeder_count schroeder_rect_count",
     "errors": "ConsistencyError",
     "paths": "LatticePath PathFamilySpec count_bruteforce enumerate_paths in_region parse_path satisfies",
-    "series": "PowerSeries RadicalCheck SeriesTriple assemble_triple closed_k1 closed_k2 radical_check_k1 "
+    "series": "RadicalCheck SeriesTriple assemble_triple closed_k1 closed_k2 radical_check_k1 "
     "solve_fd",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -137,7 +137,7 @@ def _cmd_series(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
         agree(f"closed form for k={args.k}", {"series": got, "closed": terms}, "x^{}".format)
     available = {"F": triple.f, "FD": triple.fd, "FE": triple.fe}
     chosen = available if args.which == "all" else {args.which: available[args.which]}
-    coeffs = {name: list(s.coeffs) for name, s in chosen.items()}
+    coeffs = {name: list(s) for name, s in chosen.items()}
     if args.which == "all":
         lines = [f"{name}: " + " ".join(str(c) for c in cs) for name, cs in coeffs.items()]
     else:
@@ -225,7 +225,7 @@ def _cmd_conjecture(args: argparse.Namespace) -> tuple[dict, Any, list[str]]:
 
 def _series_coeffs(k: int, part: str, order: int) -> list[int]:
     from . import series
-    return list(getattr(series.assemble_triple(k, order), part).coeffs)
+    return list(getattr(series.assemble_triple(k, order), part))
 
 
 # b-file sequence -> (charge, values at 0..order): the h table's diagonal, read off

@@ -1,4 +1,4 @@
-"""The k-Schroeder generating functions, as truncated integer power series.
+"""The k-Schroeder generating functions, each a tuple of exact integer coefficients.
 
 The generating function for peak/valley-free paths in y >= kx, graded by
 x-coordinate of the endpoint on y = kx, splits as F = 1 + FD + FE where FD
@@ -31,34 +31,6 @@ from operator import index, mul
 from .counting import _exact, _term_walk, binomial
 from .errors import agree
 from .paths import _as_slope, _Record
-
-
-class PowerSeries(_Record):
-    """A power series truncated at x^order, with exact integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: "tuple[int, ...] | list[int]") -> None:
-        if not coeffs:
-            raise ValueError("a truncated series stores at least the constant term")
-        ints = tuple(map(int, coeffs))
-        if ints != tuple(coeffs):  # 2.0 is 2; 2.5 is refused, not truncated
-            raise ValueError(f"coefficients must be integers, got {coeffs}")
-        object.__setattr__(self, "coeffs", ints)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, n: int) -> int:
-        if not 0 <= n <= self.order:
-            raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self.coeffs[n]
-
-    def truncate(self, order: int) -> "PowerSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend truncation {self.order} to {order}")
-        return PowerSeries(self.coeffs[: order + 1])
 
 
 def _product(a: list[int], b: list[int]) -> list[int]:
@@ -130,7 +102,8 @@ def _recurrence_next(polys: tuple[tuple[int, ...], ...], g: list[int]) -> int:
 
 
 class SeriesTriple(_Record):
-    """F, FD, FE for one slope k: all paths / ending with D / ending with E."""
+    """F, FD, FE for one slope k: all paths / ending with D / ending with E, each the tuple of
+    its coefficients at x^0..x^order, [x^n] at index n."""
 
     __slots__ = ("k", "f", "fd", "fe")
 
@@ -151,7 +124,7 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     square and k - 1 further products (none at k = 1), each x a shift. FE = F - G.
 
     The longest triple that passed the check is kept for each of the last four slopes
-    used. A call at its order returns it, and a lower order its truncation, checked too:
+    used. A call at its order returns it, and a lower order its three prefixes, checked too:
     coefficient j of every product reads only coefficients <= j. A longer call solves
     and checks afresh at exactly its order, and keeps that triple in its place.
     """
@@ -159,11 +132,11 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
     if order < 0:
         raise ValueError(f"order must be nonnegative, got {order}")
     kept = _CHECKED.pop(k, None)  # put back last, as the most recently used
-    if kept is not None and kept.f.order >= order:
+    if kept is not None and len(kept.f) > order:
         _CHECKED[k] = kept
-        if kept.f.order == order:
+        if len(kept.f) == order + 1:
             return kept
-        return SeriesTriple(k, *(s.truncate(order) for s in (kept.f, kept.fd, kept.fe)))
+        return SeriesTriple(k, *(s[: order + 1] for s in (kept.f, kept.fd, kept.fe)))
     polys = _RECURRENCES.get(k)
     start = len(polys) - 1 if polys else order + 1  # the first coefficient the recurrence takes
     g, p = [1], [1]  # G, G^(k+1)
@@ -185,14 +158,14 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
           {"solved": fd, "substituted": [0, *(f if low is None else _product(low, f))[:-1]]},
           "x^{}".format)
     triple = _CHECKED[k] = SeriesTriple(  # stored only once agree returned
-        k, PowerSeries(f), PowerSeries(fd), PowerSeries([s - t for s, t in zip(f, g)]))
+        k, tuple(f), tuple(fd), tuple(s - t for s, t in zip(f, g)))
     if len(_CHECKED) > _SLOPES_KEPT:
         del _CHECKED[next(iter(_CHECKED))]
     return triple
 
 
-def solve_fd(k: int, order: int) -> PowerSeries:
-    """Fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1), order exact."""
+def solve_fd(k: int, order: int) -> tuple[int, ...]:
+    """Coefficients of FD at x^0..x^order, the fixed point of FD = x (1 + FD)^(k+1) - x^2 (1 + FD)^(2k-1)."""
     return assemble_triple(k, order).fd
 
 
@@ -253,7 +226,10 @@ def radical_check_k1(order: int, triple: SeriesTriple | None = None) -> RadicalC
         triple = assemble_triple(1, order)
     if triple.k != 1:
         raise ValueError(f"the radical identity is for k=1, got a triple for k={triple.k}")
-    f, fd, fe = (s.truncate(order).coeffs for s in (triple.f, triple.fd, triple.fe))
+    for s in (triple.f, triple.fd, triple.fe):
+        if len(s) <= order:
+            raise ValueError(f"cannot extend truncation {len(s) - 1} to {order}")
+    f, fd, fe = (s[: order + 1] for s in (triple.f, triple.fd, triple.fe))
     p = [0, 0, 0, 0, 1, -2, 1 - 2 * f[0], *(-2 * c for c in f[1:order - 1])]  # p_n at p[n + 4]
     prev = (0, *f)  # f_(n-1) at prev[n]
     for n in range(order + 1):

@@ -114,7 +114,7 @@ def radical_check_by_squaring(order: int, triple: SeriesTriple) -> RadicalCheck:
     """The k=1 radical check by series products: P = (1-x)^2 - 2 x^2 F squared against
     (1-x)^4 - 4 x^2 (1-x), with FD = x F and FE = (1-x) F - 1, O(order^2); the first
     index where any of the three pairs differs."""
-    f, fd, fe = (list(s.truncate(order).coeffs) for s in (triple.f, triple.fd, triple.fe))
+    f, fd, fe = (list(s[: order + 1]) for s in (triple.f, triple.fd, triple.fe))
     one, x = [1] + [0] * order, [0, 1, *[0] * order][: order + 1]
     one_minus_x = [a - b for a, b in zip(one, x)]
     x2, square = double_sum(x, x), double_sum(one_minus_x, one_minus_x)

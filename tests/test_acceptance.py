@@ -133,17 +133,17 @@ def test_criterion_03_bijections_verified_exhaustively():
 def test_criterion_04_series_prefixes_exact():
     """All ten documented coefficient prefixes, for slopes 1, 2, 3."""
     t1 = assemble_triple(1, 7)
-    assert t1.f.coeffs == (1, 1, 2, 5, 13, 35, 97, 275)
-    assert t1.fd.coeffs == (0, 1, 1, 2, 5, 13, 35, 97)
-    assert t1.fe.coeffs == (0, 0, 1, 3, 8, 22, 62, 178)
+    assert t1.f == (1, 1, 2, 5, 13, 35, 97, 275)
+    assert t1.fd == (0, 1, 1, 2, 5, 13, 35, 97)
+    assert t1.fe == (0, 0, 1, 3, 8, 22, 62, 178)
     t2 = assemble_triple(2, 9)
-    assert t2.f.coeffs == (1, 1, 3, 11, 44, 186, 818, 3706, 17182, 81136)
-    assert t2.fd.coeffs[:8] == (0, 1, 2, 6, 22, 89, 381, 1694)
-    assert t2.fe.coeffs[:8] == (0, 0, 1, 5, 22, 97, 437, 2012)
+    assert t2.f == (1, 1, 3, 11, 44, 186, 818, 3706, 17182, 81136)
+    assert t2.fd[:8] == (0, 1, 2, 6, 22, 89, 381, 1694)
+    assert t2.fe[:8] == (0, 0, 1, 5, 22, 97, 437, 2012)
     t3 = assemble_triple(3, 7)
-    assert t3.f.coeffs == (1, 1, 4, 20, 111, 657, 4065, 25981)
-    assert t3.fd.coeffs == (0, 1, 3, 13, 67, 380, 2288, 14351)
-    assert t3.fe.coeffs == (0, 0, 1, 7, 44, 277, 1777, 11630)
+    assert t3.f == (1, 1, 4, 20, 111, 657, 4065, 25981)
+    assert t3.fd == (0, 1, 3, 13, 67, 380, 2288, 14351)
+    assert t3.fe == (0, 0, 1, 7, 44, 277, 1777, 11630)
 
 
 def test_criterion_05_closed_forms_match_series_to_order_20():

@@ -97,7 +97,7 @@ def test_each_command_loads_only_what_it_runs(argv, extra):
 def test_package_exports_are_their_home_modules_objects():
     star: dict = {}
     exec("from delannoy import *", star)
-    assert len(delannoy.__all__) == 40 and set(delannoy.__all__) <= set(star)
+    assert len(delannoy.__all__) == 39 and set(delannoy.__all__) <= set(star)
     for name in delannoy.__all__:
         home = importlib.import_module(f"delannoy.{delannoy._HOME[name]}")
         assert getattr(delannoy, name) is getattr(home, name) is star[name]

@@ -1,8 +1,10 @@
-"""``agree``, the one comparison of routes, and every site that calls it."""
+"""``agree``, the one comparison of routes, and every site that calls it; and every
+exact division, ``counting._exact``, at each of its calls."""
 
 from __future__ import annotations
 
 import sys
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 import delannoy.conjectures as conjectures_module
 import delannoy.counting as counting_module
 import delannoy.series as series_module
-from delannoy import ConsistencyError, a_count, assemble_triple, delannoy_count, schroeder_rect_count
+from delannoy import ConsistencyError, a_count, assemble_triple, closed_k2, delannoy_count, schroeder_rect_count
 from delannoy.cli import build_parser
 from delannoy.errors import agree
 
@@ -142,6 +144,39 @@ def test_every_site_names_each_route_and_its_value(monkeypatch, module, name, pe
     call()  # honest routes agree
     series_module._CHECKED.clear()  # or the checked triple would answer the perturbed call
     monkeypatch.setattr(module, name, perturb(getattr(module, name)))
+    with pytest.raises(ConsistencyError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
+# Every call of counting._exact: (module, attribute, perturbation that leaves a remainder
+# there, the call, and the message).  A call whose own arguments leave one perturbs nothing.
+# A floor division in its place would return a number and pass.
+EXACT_SITES = {
+    "term-walk": (None, None, None, lambda: counting_module._term_walk(1, 1, lambda i: (1, 2), "walk"),
+                  "walk term 1 is not an integer: remainder 1 mod 2"),
+    "schroeder-form-1-term-0": (counting_module, "math",
+                                lambda honest: SimpleNamespace(comb=lambda n, k: honest.comb(n, k) + 1),
+                                lambda: schroeder_rect_count(1, 1, 1),
+                                "schroeder_rect_count(1, 1, k=1) form 1 term 0 is not an integer: remainder 1 mod 2"),
+    "schroeder-form-2": (counting_module, "_term_walk", _bump_walk("form 2"), lambda: schroeder_rect_count(2, 2, 1),
+                         "schroeder_rect_count(2, 2, k=1) form 2 is not an integer: remainder 1 mod 2"),
+    "miller": (None, None, None, lambda: series_module._miller_next([1, 1, 1], [1, 1], 2),
+               "coefficient 2 of (1+FD)^2 is not an integer: remainder 1 mod 2"),  # 5 / 2
+    "recurrence": (None, None, None, lambda: series_module._recurrence_next(((1,), (2,)), [1]),
+                   "coefficient 1 of 1+FD is not an integer: remainder 1 mod 2"),  # -1 / 2
+    "closed-k2-F-term-0": (series_module, "binomial", lambda honest: lambda n, k: honest(n, k) + 1,
+                           lambda: closed_k2(1), "closed_k2(1) F term 0 is not an integer: remainder 1 mod 2"),
+    "closed-k2-FD-term-0": (series_module, "binomial", lambda honest: lambda n, k: honest(n, k) + (n == 3 * k + 3),
+                            lambda: closed_k2(2), "closed_k2(2) FD term 0 is not an integer: remainder 1 mod 2"),
+}
+
+
+@pytest.mark.parametrize("module,name,perturb,call,message", EXACT_SITES.values(), ids=EXACT_SITES)
+def test_every_exact_division_refuses_a_remainder(monkeypatch, module, name, perturb, call, message):
+    if perturb is not None:
+        call()  # exact when honest
+        monkeypatch.setattr(module, name, perturb(getattr(module, name)))
     with pytest.raises(ConsistencyError) as raised:
         call()
     assert str(raised.value) == message

@@ -15,13 +15,12 @@ from delannoy import (
     CountTable,
     LatticePath,
     PathFamilySpec,
-    PowerSeries,
     RadicalCheck,
     SeriesTriple,
 )
 from helpers import InversionSequence
 
-S = PowerSeries((1, 1, 2))
+S = (1, 1, 2)
 NO_PATTERNS = frozenset()
 
 # Each record class: its fields by keyword, in order; one field with another
@@ -46,13 +45,9 @@ RECORDS = {
         CountTable, {"kind": "h", "columns": ((1, 1), (1, 2))}, {"kind": "b"}, {},
         "CountTable(kind='h', columns=((1, 1), (1, 2)))",
     ),
-    "PowerSeries": (
-        PowerSeries, {"coeffs": (1, 2, 5)}, {"coeffs": (1, 2, 6)}, {}, "PowerSeries(coeffs=(1, 2, 5))",
-    ),
     "SeriesTriple": (
-        SeriesTriple, {"k": 1, "f": S, "fd": S, "fe": S}, {"fe": PowerSeries((0, 0, 1))}, {},
-        "SeriesTriple(k=1, f=PowerSeries(coeffs=(1, 1, 2)), fd=PowerSeries(coeffs=(1, 1, 2)), "
-        "fe=PowerSeries(coeffs=(1, 1, 2)))",
+        SeriesTriple, {"k": 1, "f": S, "fd": S, "fe": S}, {"fe": (0, 0, 1)}, {},
+        "SeriesTriple(k=1, f=(1, 1, 2), fd=(1, 1, 2), fe=(1, 1, 2))",
     ),
     "RadicalCheck": (
         RadicalCheck, {"ok": False, "first_mismatch": 3}, {"first_mismatch": 4},
@@ -106,7 +101,7 @@ def test_path_is_equal_and_hashed_by_start_and_word():
 
 
 def test_records_of_different_classes_differ():
-    assert PowerSeries((0, 1)) != InversionSequence((0, 1))
+    assert CountTable(True, None) != RadicalCheck(True, None)  # equal fields, different classes
     assert RadicalCheck(ok=True) == RadicalCheck(True) == RadicalCheck(True, None)
     with pytest.raises(TypeError):
         RadicalCheck(True, ok=True)  # a field given twice
@@ -116,7 +111,6 @@ def test_records_of_different_classes_differ():
 
 @pytest.mark.parametrize("build,message", [
     (lambda: LatticePath(word="NX"), "invalid step character 'X' at position 1"),
-    (lambda: PowerSeries((1, 2.5)), "coefficients must be integers, got (1, 2.5)"),
     (lambda: InversionSequence((0, 2)), "entry 2 at position 2 is not an integer in [0, 1]"),
     (lambda: PathFamilySpec(target=(-1, 2)), "corner coordinates must be nonnegative, got (-1, 2)"),
 ])
@@ -130,5 +124,5 @@ def test_checked_records_store_normalized_fields():
     spec = PathFamilySpec(target=(2.0, 3), forbidden=["NE"], region_k=2.0, first_step="N")
     assert spec == PathFamilySpec((2, 3), frozenset({"NE"}), NO_PATTERNS, 2, "N")
     assert type(spec.target[0]) is int and type(spec.region_k) is int
-    assert PowerSeries([1.0, 2]).coeffs == (1, 2) and InversionSequence([0, 1.0]).entries == (0, 1)
+    assert InversionSequence([0, 1.0]).entries == (0, 1)
     assert pickle.loads(pickle.dumps(spec)) == spec

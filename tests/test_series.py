@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import math
 import tracemalloc
 
 import pytest
@@ -13,7 +14,6 @@ import delannoy.counting as counting_module
 import delannoy.series as series_module
 from delannoy import (
     ConsistencyError,
-    PowerSeries,
     RadicalCheck,
     SeriesTriple,
     assemble_triple,
@@ -72,40 +72,19 @@ def _power(a, exponent):
     return result
 
 
-def test_powerseries_coefficient_access_is_strict():
-    s = PowerSeries((7, 0, 4))
-    assert s[0] == 7 and s[2] == 4
-    with pytest.raises(IndexError):
-        s[3]
-    with pytest.raises(IndexError):
-        s[-1]
-
-
-def test_powerseries_truncate_and_validation():
-    s = PowerSeries((1, 2, 3))
-    assert s.truncate(1).coeffs == (1, 2)
-    with pytest.raises(ValueError):
-        s.truncate(5)
-    with pytest.raises(ValueError):
-        PowerSeries(())
-    assert PowerSeries((1, 2.0)).coeffs == (1, 2)  # an integral float is its integer
-    with pytest.raises(ValueError, match="integers"):
-        PowerSeries((1, 2.5))  # not truncated to (1, 2)
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_golden_prefixes(k):
     order = len(GOLDEN[k]["f"]) - 1
     triple = assemble_triple(k, max(order, 9))
     for name, expected in GOLDEN[k].items():
-        got = getattr(triple, name).coeffs[: len(expected)]
+        got = getattr(triple, name)[: len(expected)]
         assert got == expected, (k, name)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_fixed_point_low_order_edges(k):
-    assert solve_fd(k, 0).coeffs == (0,)
-    assert solve_fd(k, 1).coeffs == (0, 1)  # a single D step, any slope
+    assert solve_fd(k, 0) == (0,)
+    assert solve_fd(k, 1) == (0, 1)  # a single D step, any slope
 
 
 def test_solve_fd_validation():
@@ -183,7 +162,7 @@ def test_radical_check_refuses_other_slopes():
 
 def test_radical_identity_rejects_corrupted_series():
     triple = assemble_triple(1, 10)
-    bad_f = PowerSeries(tuple(c + (i == 5) for i, c in enumerate(triple.f.coeffs)))
+    bad_f = tuple(c + (i == 5) for i, c in enumerate(triple.f))
     mutant = SeriesTriple(k=1, f=bad_f, fd=triple.fd, fe=triple.fe)
     check = radical_check_k1(10, triple=mutant)
     assert not check.ok
@@ -201,10 +180,10 @@ def _k1_triple(order):
 
 def _moved(triple, moves):
     """A copy of a k=1 triple with moves[(name, index)] added to those coefficients."""
-    coeffs = {name: list(getattr(triple, name).coeffs) for name in _K1_SERIES}
+    coeffs = {name: list(getattr(triple, name)) for name in _K1_SERIES}
     for (name, index), delta in moves.items():
         coeffs[name][index] += delta
-    return SeriesTriple(1, *(PowerSeries(tuple(coeffs[name])) for name in _K1_SERIES))
+    return SeriesTriple(1, *(tuple(coeffs[name]) for name in _K1_SERIES))
 
 
 @given(st.data())
@@ -266,7 +245,7 @@ def test_radical_rule_is_the_equation_of_sqrt_delta():
     (1-x)^2 - 2 x^2 F for the solved F, and a copy moved by 1 at index i fails at i."""
     s = _sqrt_delta(300)
     assert _first_residual(s) is None
-    f = (0, 0) + assemble_triple(1, 300).f.coeffs  # f_(n-2) at n
+    f = (0, 0) + assemble_triple(1, 300).f  # f_(n-2) at n
     assert s == [(1, -2, 1, 0)[min(n, 3)] - 2 * f[n] for n in range(301)]
     for i in (1, 2, 3, 4, 5, 150, 299, 300):
         moved = s[:i] + [s[i] + 1] + s[i + 1:]
@@ -342,7 +321,7 @@ def test_substitution_identity_for_k2():
     for c in reversed(a):  # A(t - t^2) by Horner's rule
         substituted = double_sum(substituted, inner)
         substituted[0] += c
-    assert tuple(substituted) == assemble_triple(2, order).fd.coeffs
+    assert tuple(substituted) == assemble_triple(2, order).fd
 
 
 # Each perturbed solve stays integral and self-consistent, so only the substitution check can
@@ -407,7 +386,7 @@ def _miller_g(k, order):
 @given(st.integers(1, 3), st.integers(0, 200))
 @settings(deadline=None)
 def test_recurrence_solve_matches_miller(k, order):
-    assert (1,) + solve_fd(k, order).coeffs[1:] == _miller_g(k, 200)[: order + 1]
+    assert (1,) + solve_fd(k, order)[1:] == _miller_g(k, 200)[: order + 1]
 
 
 def test_recurrence_solve_to_order_600():
@@ -417,7 +396,7 @@ def test_recurrence_solve_to_order_600():
     for n in (0, 1, 5, 199, 200, 201, 333, 477, 598, 599, 600):
         assert closed_k1(n) == (k1.f[n], k1.fd[n], k1.fe[n]), n
         assert closed_k2(n) == (k2.f[n], k2.fd[n]), n
-    assert (1,) + solve_fd(3, 600).coeffs[1:] == _miller_g(3, 600)
+    assert (1,) + solve_fd(3, 600)[1:] == _miller_g(3, 600)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -431,6 +410,29 @@ def test_a_wrong_recurrence_entry_is_caught(monkeypatch, k):
             monkeypatch.setitem(series_module._RECURRENCES, k, table[:i] + (wrong,) + table[i + 1:])
             with pytest.raises(ConsistencyError):
                 assemble_triple(k, 30)
+
+
+def test_slope1_recurrence_holds_at_every_n():
+    """A certificate for _RECURRENCES[1], not a fit.  At k = 1 the fixed point reads
+    x G^2 - (1 + x^2) G + 1 = 0, so s = 1 + x^2 - 2 x G has s^2 = D = 1 - 4x + 2x^2 + x^4 and
+    s_0 = 1: s = sqrt(D), s_j = [j in {0, 2}] - 2 g_(j-1).  s^2 = D gives 2 D s' = D' s, whose
+    coefficient m is the sum over t of D_t (2 (m + 1 - t) - t) s_(m+1-t).  Put m = n + 4, so
+    every index n + 5 - t is at least 1, and s_j = -2 g_(j-1) but at j = 2, where the constant
+    term's polynomial must vanish at its one n.  Both steps run as polynomials in n from D's
+    coefficients; divided by its content, the result is the table, entry for entry."""
+    delta, shift = (1, -4, 2, 0, 1), 4
+    derived = [()] * (shift + 1)  # P_i(n), the factor of g_(n+i), top coefficient first
+    for t, d in enumerate(delta):
+        a, b = 2 * d, 2 * d * (1 - t) - t * d  # the factor of s_(m+1-t): a m + b
+        b += a * shift  # m = n + 4
+        derived[shift - t] = (-2 * a, -2 * b)  # s_(n+5-t) = -2 g_(n+4-t)
+        for j in (0, 2):  # the constant term of s_j: 1, met at n = j + t - 5
+            if (n := j + t - shift - 1) >= 0:
+                assert a * n + b == 0, (t, n)
+    content = math.gcd(*(c for poly in derived for c in poly)) * (1 if derived[-1][0] > 0 else -1)
+    assert tuple(tuple(c // content for c in poly) for poly in derived) == series_module._RECURRENCES[1]
+    g = (1, *solve_fd(1, 60)[1:])
+    assert _sqrt_delta(60) == [(n == 0) + (n == 2) - 2 * (g[n - 1] if n else 0) for n in range(61)]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -470,7 +472,7 @@ def test_check_keeps_two_powers_of_g_at_a_time():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert triple.fd.coeffs == (0, 1, 5000, 37497501)  # g_3 = (k+1)k + C(k+1, 2) - (2k-1)
+    assert triple.fd == (0, 1, 5000, 37497501)  # g_3 = (k+1)k + C(k+1, 2) - (2k-1)
     assert peak < 400_000  # the 5001 powers took 1.1 MB
 
 
@@ -505,7 +507,8 @@ def test_a_kept_triple_answers_as_a_fresh_solve(k, first, second):
     fresh = assemble_triple(k, second)
     for name in SeriesTriple.__slots__:
         assert getattr(got, name) == getattr(fresh, name), name
-    assert got.f.order == got.fd.order == got.fe.order == second
+    assert len(got.f) - 1 == len(got.fd) - 1 == len(got.fe) - 1 == second
+    assert all(type(s) is tuple and all(type(c) is int for c in s) for s in (got.f, got.fd, got.fe))
     if first == second:
         assert got is kept
 
@@ -546,7 +549,7 @@ def test_a_float_order_is_refused_with_a_triple_kept():
         for order in (3.0, 2.0):
             with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
                 assemble_triple(1, order)
-    assert assemble_triple(1, True).f.coeffs == (1, 1)  # a bool is the integer it is, as before
+    assert assemble_triple(1, True).f == (1, 1)  # a bool is the integer it is, as before
 
 
 def test_at_most_four_slopes_are_kept():
@@ -568,7 +571,7 @@ def test_series_count_region_paths_by_last_step(k):
     for name, last in (("f", None), ("fd", "D"), ("fe", "E")):
         columns = spec_counts(family_spec("h", n_max, k * n_max, region_k=k, last_step=last))
         got = [column[k * n] for n, column in enumerate(columns)]
-        assert got == list(getattr(triple, name).coeffs), name
+        assert got == list(getattr(triple, name)), name
 
 
 def _fd_by_full_substitution(k, order):
@@ -578,7 +581,7 @@ def _fd_by_full_substitution(k, order):
         g = [1, *fd[1:]]
         high, low = _power(g, k + 1), [0, *_power(g, 2 * k - 1)]  # G^(k+1), x G^(2k-1)
         fd = [0, *(a - b for a, b in zip(high, low))][: order + 1]  # x (G^(k+1) - x G^(2k-1))
-    return PowerSeries(fd)
+    return tuple(fd)
 
 
 @settings(deadline=None)
