@@ -9,7 +9,7 @@ rewriting maps are string surgery.
 
 from __future__ import annotations
 
-from functools import partial
+from math import inf
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -124,9 +124,13 @@ def in_region(path: LatticePath, k: int) -> bool:
     return all(y >= k * x for x, y in path.vertices())
 
 
+def _integral(v) -> bool:  # NaN and the infinities first: int() of them raises
+    return v == v and v not in (inf, -inf) and int(v) == v
+
+
 def _as_slope(k) -> int:
-    # a bool or a fraction is refused; an integral float such as 2.0 becomes 2
-    if isinstance(k, bool) or int(k) != k or k < 1:
+    # a bool, a fraction, a NaN or an infinity is refused; an integral float such as 2.0 becomes 2
+    if isinstance(k, bool) or not _integral(k) or k < 1:
         raise ValueError(f"slope k must be a positive integer, got {k!r}")
     return int(k)
 
@@ -166,7 +170,7 @@ class PathFamilySpec(_Record):
                  forbidden_aug: Iterable[str] = frozenset(), region_k: int | None = None,
                  first_step: str | None = None, last_step: str | None = None) -> None:
         x, y = target
-        if int(x) != x or int(y) != y:
+        if not (_integral(x) and _integral(y)):
             raise ValueError(f"corner coordinates must be integers, got {target}")
         _check_corner(int(x), int(y))
         super().__init__((int(x), int(y)), _as_patterns(forbidden), _as_patterns(forbidden_aug),
@@ -199,16 +203,15 @@ def _check_corner(n: int, m: int) -> None:
 def _member_words(spec: PathFamilySpec) -> Iterator[str]:
     """Yield the words of the family, in lexicographic order E < N < D.
 
-    Depth-first walk over prefixes on an explicit stack, so the path length
-    is not bounded by the recursion limit.  A prefix is held as "E" + prefix,
-    how every completion's augmented word starts: a step is one concatenation,
-    and a prefix dies once it ends with a forbidden factor (past that "E") or
-    a forbidden augmented pattern, or leaves the region; inside the target's
-    box no step overshoots.  On the last column or the top row the rest of the
-    word is forced, so it is extended in place, letter by letter under the
-    same two tests (at once, with no patterns), up to the first forbidden
-    letter.  A whole word is then left with the step filters and the
-    augmented occurrences that end at the closing N.
+    Depth-first walk over prefixes on an explicit stack, so the path length is not bounded by
+    the recursion limit.  A prefix is held as "E" + prefix, how every completion's augmented
+    word starts: a step is one concatenation, and a prefix dies once it ends with a forbidden
+    factor (past that "E") or a forbidden augmented pattern, or leaves the region; inside the
+    target's box no step overshoots, and a letter that is itself a forbidden pattern of either
+    kind is never stepped.  On the last column or the top row the rest of the word is forced,
+    so it is extended in place, letter by letter under the same two tests (at once, with no
+    patterns), up to the first forbidden letter.  A whole word is then left with the step
+    filters (tested only when one is set) and the augmented occurrences that end at the closing N.
     """
     n, m = spec.target
     pats, augs = tuple(spec.forbidden), tuple(spec.forbidden_aug)
@@ -216,7 +219,8 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
     if "E" in augs or (k is not None and m < k * n) or (0 in (n, m) and first not in (None, "EN"[n == 0])):
         return  # the leading E; a top-row tail below the region; a root on an axis has its first step forced
     seam = tuple(p[:-1] for p in augs if p[-1] == "N")  # the patterns met at the closing N, less that N
-    steps = tuple(s for s in _STEPS_REVERSED if first in (None, s[0]))  # the root's; all after it
+    inner = tuple(s for s in _STEPS_REVERSED if s[0] not in spec.forbidden | spec.forbidden_aug)
+    steps = tuple(s for s in inner if first in (None, s[0]))  # the root's; inner after it
     stack = [("E", 0, 0)]
     while stack:
         a2, x, y = stack.pop()
@@ -230,7 +234,8 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
                     break
             else:
                 word = a2[1:]
-                if first in (None, word[:1]) and last in (None, word[-1:]) and not (seam and a2.endswith(seam)):
+                kept = not (first or last) or first in (None, word[:1]) and last in (None, word[-1:])
+                if kept and not (seam and a2.endswith(seam)):
                     yield word
             continue
         for c, dx, dy in steps:
@@ -239,12 +244,17 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
             a3 = a2 + c
             if not ((pats and a3.endswith(pats, 1)) or (augs and a3.endswith(augs))):
                 stack.append((a3, x + dx, y + dy))
-        steps = _STEPS_REVERSED
+        steps = inner
 
 
 def enumerate_paths(spec: PathFamilySpec) -> Iterator[LatticePath]:
-    """Yield every path of the family, in lexicographic word order E < N < D."""
-    return map(partial(LatticePath, (0, 0)), _member_words(spec))
+    """Yield every path of the family, in lexicographic word order E < N < D, as LatticePath((0, 0), word)
+    built without re-checking the word: the walk only joins N, E and D."""
+    for word in _member_words(spec):
+        path = object.__new__(LatticePath)
+        _set_start(path, (0, 0))
+        _set_word(path, word)
+        yield path
 
 
 def count_bruteforce(spec: PathFamilySpec) -> int:

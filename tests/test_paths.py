@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import inspect
+import pickle
 import random
 import sys
 
@@ -31,6 +32,7 @@ words = st.text(alphabet="NED", max_size=24)
 ne_words = st.text(alphabet="NE", max_size=24)
 patterns = st.text(alphabet="NED", min_size=1, max_size=4)
 steps = st.sampled_from([None, "N", "E", "D"])
+INF, NAN = float("inf"), float("nan")
 
 
 def test_step_values():
@@ -167,15 +169,22 @@ def test_spec_validation():
         PathFamilySpec(target=(2.7, 1))
     with pytest.raises(ValueError, match="integers"):
         PathFamilySpec(target=(2, 0.5))
+    for bad in (INF, -INF, NAN):  # int() of these raises OverflowError or its own ValueError
+        with pytest.raises(ValueError, match="integers"):
+            PathFamilySpec(target=(bad, 1))
+        with pytest.raises(ValueError, match="integers"):
+            PathFamilySpec(target=(1, bad))
     assert PathFamilySpec(target=(2.0, 1)).target == (2, 1)
-    # the slope follows the corner's rule: no bool, no fraction; 2.0 is 2
-    for bad in (1.5, True, 0):
+    # the slope follows the corner's rule: no bool, no fraction, no NaN or infinity; 2.0 is 2
+    for bad in (1.5, True, 0, INF, -INF, NAN):
         with pytest.raises(ValueError, match="slope"):
             PathFamilySpec(target=(2, 3), region_k=bad)
         with pytest.raises(ValueError, match="slope"):
             schroeder_count(2, bad)
         with pytest.raises(ValueError, match="slope"):
             schroeder_rect_count(2, 3, bad)
+        with pytest.raises(ValueError, match="slope"):
+            in_region(parse_path("NE"), bad)
     k = PathFamilySpec(target=(2, 4), region_k=2.0).region_k
     assert (k, type(k)) == (2, int)
     assert schroeder_count(3, 2.0) == schroeder_count(3, 2) == 66
@@ -245,6 +254,14 @@ def test_enumerate_matches_naive_generation(n, m):
 @example(0, 1, frozenset(), frozenset({"NN"}), None, None, None)
 @example(2, 2, frozenset(), frozenset({"D"}), None, "N", "E")
 @example(2, 3, frozenset(), frozenset({"D"}), 1, "N", "N")
+# One-letter patterns, whose letter the walk never steps: a forbidden D, an
+# augmented D, N (no path: every augmented word ends with N) or E (nor any:
+# every one starts with E), and a forbidden N under a first-step filter N.
+@example(3, 3, frozenset({"D"}), frozenset(), None, None, None)
+@example(3, 3, frozenset(), frozenset({"D"}), None, None, None)
+@example(2, 3, frozenset(), frozenset({"N"}), None, None, None)
+@example(3, 2, frozenset(), frozenset({"E"}), None, None, None)
+@example(2, 2, frozenset({"N"}), frozenset(), None, "N", None)
 # Edges of the forced tail, walked in place on the last column or the top row:
 # a root on an axis under a first-step filter, a forbidden factor inside the
 # tail, an augmented pattern across the tail and the closing N, a last-step
@@ -291,6 +308,35 @@ def _assert_walk_is_naive_family(n, m, forbidden, forbidden_aug, region_k, first
     expected = sorted(naive_family(n, m, **kwargs), key=lambda w: ["END".index(c) for c in w])
     assert got == expected
     assert count_bruteforce(spec) == len(got)
+
+
+letters_or_patterns = st.one_of(st.sampled_from("NED"), patterns)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 5),
+    st.frozensets(letters_or_patterns, max_size=3),
+    st.frozensets(letters_or_patterns, max_size=2),
+    st.sampled_from([None, 1, 2]),
+    steps,
+    steps,
+)
+@example(2, 1, frozenset({"D"}), frozenset(), None, None, "N")  # EEN only
+def test_walked_paths_are_the_checked_paths(n, m, forbidden, forbidden_aug, region_k, first, last):
+    """enumerate_paths builds its paths without LatticePath's word check; each is still
+    the LatticePath that the checked constructor makes from its word."""
+    spec = PathFamilySpec(target=(n, m), forbidden=forbidden, forbidden_aug=forbidden_aug,
+                          region_k=region_k, first_step=first, last_step=last)
+    walked = list(enumerate_paths(spec))
+    for path in walked:
+        checked = LatticePath((0, 0), path.word)
+        assert type(path) is LatticePath
+        assert path == checked and hash(path) == hash(checked)
+        assert (path.start, path.end) == ((0, 0), (n, m))
+        assert pickle.loads(pickle.dumps(path)) == path
+    assert count_bruteforce(spec) == len(walked)
 
 
 def test_walk_to_a_long_thin_corner():

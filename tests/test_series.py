@@ -92,9 +92,11 @@ def test_solve_fd_validation():
         solve_fd(0, 5)
     with pytest.raises(ValueError):
         solve_fd(1, -1)
-    for k in (True, 1.5):  # the slope follows paths.PathFamilySpec's rule
+    for k in (True, 1.5, float("inf"), float("-inf"), float("nan")):  # paths.PathFamilySpec's rule
         with pytest.raises(ValueError, match="slope k"):
             solve_fd(k, 5)
+        with pytest.raises(ValueError, match="slope k"):
+            assemble_triple(k, 5)
     assert solve_fd(2.0, 5) == solve_fd(2, 5)
     assert assemble_triple(2.0, 5).k == 2
 

@@ -32,6 +32,7 @@ SERIES, COUNTING, PATHS = "src/delannoy/series.py", "src/delannoy/counting.py", 
 CLI = "src/delannoy/cli.py"
 RADICAL = ("tests/test_series.py", "-k", "radical")
 CHECK = ("tests/test_series.py", "-k", "golden or non_fixed_point or product")
+WALKER = ("tests/test_paths.py", "-k", "walker_matches")
 FIRST_ROUTE = "(lambda what, routes, *index: [*routes.values()][0])("  # agree, less its comparison
 
 
@@ -52,7 +53,7 @@ def _floor(site: str, file: str, call: str, floored: str) -> tuple[str, str, str
 # (name, file, exact old text, new text, pytest arguments)
 MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("radical-rule-term", SERIES, "(n - 6) * p[n]", "(n - 5) * p[n]", RADICAL),
-    ("slope-bound", PATHS, "int(k) != k or k < 1:", "int(k) != k or k < 0:",
+    ("slope-bound", PATHS, "not _integral(k) or k < 1:", "not _integral(k) or k < 0:",
      ("tests/test_series.py", "tests/test_paths.py", "-k", "validation or slope")),
     ("exact-ignores-remainder", COUNTING, "    if rem:\n", "    if False:\n",
      ("tests/test_series.py", "-k", "inexact")),
@@ -67,6 +68,11 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      ("tests/test_series.py::test_radical_check_truncates_the_triple_to_the_order",)),
     ("k1-recurrence-entry", SERIES, "1: ((1, -1), (0, 0), (2, 4),", "1: ((1, -1), (0, 0), (2, 5),",
      ("tests/test_series.py::test_slope1_recurrence_holds_at_every_n",)),
+    ("walk-drops-pattern-initials", PATHS, "s[0] not in spec.forbidden | spec.forbidden_aug",
+     "all(p[0] != s[0] for p in spec.forbidden | spec.forbidden_aug)", WALKER),
+    ("walk-filters-only-first-step", PATHS, "kept = not (first or last) or", "kept = not first or", WALKER),
+    ("walked-path-start", PATHS, "_set_start(path, (0, 0))", "_set_start(path, (0, 1))",
+     ("tests/test_paths.py::test_walked_paths_are_the_checked_paths",)),
     _agree(CLI, 'f"count {family}', "cli-count"),
     _agree(CLI, 'f"closed form for k=', "cli-series"),
     _agree(CLI, 'f"conjecture {args.which}"', "cli-conjecture"),
