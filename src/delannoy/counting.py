@@ -118,49 +118,74 @@ def _automaton(spec: PathFamilySpec) -> tuple[int, list[tuple[int, str, int]], l
                                if last == spec.last_step and aug(s2, "N") is not None]
 
 
-def _state_columns(spec: PathFamilySpec, automaton) -> Iterator[list[list[int] | None]]:
+def _accepted(col: list[list[int] | None], accepting: list[int], m: int) -> list[int]:
+    """The sum over y = 0..m of a ``_state_columns`` column's live accepting lists."""
+    live = [col[i] for i in accepting if col[i]]
+    return list(reduce(partial(map, add), live)) if live else [0] * (m + 1)
+
+
+def _reads_accepted(automaton) -> list[tuple[int, str]]:
+    """The pairs (state t, letter E or D) whose moves into t come from exactly the accepting states."""
+    froms: dict[tuple[int, str], set[int]] = {}
+    for s, c, t in automaton[1]:
+        if c != "N":
+            froms.setdefault((t, c), set()).add(s)
+    accepting = set(automaton[2])
+    return [pair for pair, sources in froms.items() if sources == accepting]
+
+
+def _state_columns(spec: PathFamilySpec, automaton) -> Iterator[tuple[list[list[int] | None], list[int] | None]]:
     """Columns x = 0..n of the DP over ``automaton``, spec's ``_automaton``: per state,
-    the counts of its words at y = 0..m, or None if all are zero.  Each move is one
-    whole-column copy or add from the region's first cell: E and D shift column x - 1
-    up 0 and 1 cells, N this column up 1.  Runs of N settle, so the only N cycles are
-    self-loops, each a running sum; states run so other N moves go forward."""
-    (n, m), (size, moves, _) = spec.target, automaton
+    the counts of its words at y = 0..m, or None if all are zero; and the column's
+    ``_accepted`` sum if the DP reads it, else None.  Each move is one whole-column copy
+    or add from the region's first cell: E and D shift column x - 1 up 0 and 1 cells, N
+    this column up 1.  A pair of ``_reads_accepted`` takes one shift of column x - 1's
+    accepting sum in place of a move from each accepting state.  Runs of N settle, so
+    the only N cycles are self-loops, each a running sum; states run so other N moves
+    go forward."""
+    (n, m), (size, moves, accepting) = spec.target, automaton
     after = {s: t for s, c, t in moves if c == "N"}  # at most one N move out of a state
     into = [[] for _ in range(size)]  # the moves into each state, its N self-loop aside
     for s, c, t in moves:
         if (s, c) != (t, "N"):
             into[t].append((s, c))
+    shared = _reads_accepted(automaton)
+    for t, c in shared:  # source None, first: column x - 1's accepting sum
+        into[t] = [(None, c)] + [(s, d) for s, d in into[t] if d != c]
     order = [t for t in range(size) if after.get(t, t) == t]  # no N move out but a self-loop
     for t in order:  # then, back along N moves, the states whose runs of N settle there
         order += [s for s, c in into[t] if c == "N"]
     if len(order) < size:
         raise ConsistencyError(f"N moves of {spec} cycle through more than one state")
     plan = [(t, into[t], after.get(t) == t) for t in reversed(order)]
-    k, left = spec.region_k or 0, [None] * size  # left: column x - 1
+    k, left, total = spec.region_k or 0, [None] * size, None  # column x - 1 and its accepting sum
     for x in range(n + 1):
         lo, col = min(k * x, m + 1), [None] * size  # lo: the column's first cell in the region
         for t, sources, loop in plan:
             acc = [1] + [0] * m if x == t == 0 else None
             for s, c in sources:  # the first live source is copied, the others added
-                src, dy = (col if c == "N" else left)[s], _DISPLACEMENT[c][1]
+                src, dy = total if s is None else (col if c == "N" else left)[s], _DISPLACEMENT[c][1]
                 if src is not None:
                     a, part = max(lo, dy), src[max(lo, dy) - dy:m + 1 - dy]
                     acc = [0] * a + part if acc is None else [*acc[:a], *map(add, acc[a:], part)]
             if acc is not None and loop:
                 acc[lo:] = accumulate(acc[lo:])
             col[t] = acc if acc is not None and any(acc) else None
-        yield col
+        total = _accepted(col, accepting, m) if shared else None
+        yield col, total
         left = col
 
 
 def spec_counts(spec: PathFamilySpec) -> Iterator[list[int]]:
     """The family's size at every corner (x, y) <= spec.target, as if it were the
     target, by a transfer-matrix DP (Stanley, EC1 4.7): columns x = 0..n in turn,
-    each a list over y = 0..m that sums the accepting states of ``_state_columns``."""
+    each a list over y = 0..m, the ``_accepted`` sum of ``_state_columns``.  Where the
+    DP reads that sum itself (h's D move into its empty state comes from all three of
+    its states, each accepting, so h's cell costs 4 adds, not 6), the DP's own sum is
+    yielded, and the next column reads it: a caller must not change a yielded column."""
     automaton = _automaton(spec)
-    for col in _state_columns(spec, automaton):
-        live = [col[i] for i in automaton[2] if col[i]]  # one sum of the live accepting lists
-        yield list(reduce(partial(map, add), live)) if live else [0] * (spec.target[1] + 1)
+    for col, total in _state_columns(spec, automaton):
+        yield _accepted(col, automaton[2], spec.target[1]) if total is None else total
 
 
 def _dp_cost(spec: PathFamilySpec, *_: int) -> int:  # a route's charge takes prefix_count's arguments
@@ -185,7 +210,7 @@ def prefix_count(spec: PathFamilySpec, budget: int, left: int | None = None) -> 
     total, table = 0, (n + 1) * (m + 1) * (states + (spec.first_step is not None))
     if table > budget:
         return table
-    for col in _state_columns(spec, _automaton(spec)):
+    for col, _ in _state_columns(spec, _automaton(spec)):
         total += sum(map(sum, filter(None, col)))
         if total > (budget if left is None else left):
             break

@@ -208,29 +208,34 @@ def _member_words(spec: PathFamilySpec) -> Iterator[str]:
     word starts: a step is one concatenation, and a prefix dies once it ends with a forbidden
     factor (past that "E") or a forbidden augmented pattern, or leaves the region; inside the
     target's box no step overshoots, and a letter that is itself a forbidden pattern of either
-    kind is never stepped.  On the last column or the top row the rest of the word is forced,
+    kind is never stepped, so a pattern holding it is never tested, but at the leading E, and a
+    forced tail of it dies on its first letter.  On the last column or the top row the rest of the word is forced,
     so it is extended in place, letter by letter under the same two tests (at once, with no
     patterns), up to the first forbidden letter.  A whole word is then left with the step
     filters (tested only when one is set) and the augmented occurrences that end at the closing N.
     """
     n, m = spec.target
-    pats, augs = tuple(spec.forbidden), tuple(spec.forbidden_aug)
     k, first, last = spec.region_k, spec.first_step, spec.last_step
-    if "E" in augs or (k is not None and m < k * n) or (0 in (n, m) and first not in (None, "EN"[n == 0])):
+    every, every_aug = spec.forbidden, spec.forbidden_aug
+    if "E" in every_aug or (k is not None and m < k * n) or (0 in (n, m) and first not in (None, "EN"[n == 0])):
         return  # the leading E; a top-row tail below the region; a root on an axis has its first step forced
-    seam = tuple(p[:-1] for p in augs if p[-1] == "N")  # the patterns met at the closing N, less that N
-    inner = tuple(s for s in _STEPS_REVERSED if s[0] not in spec.forbidden | spec.forbidden_aug)
+    seam = tuple(p[:-1] for p in every_aug if p[-1] == "N")  # the patterns met at the closing N, less that N
+    inner = tuple(s for s in _STEPS_REVERSED if s[0] not in every | every_aug)
     steps = tuple(s for s in inner if first in (None, s[0]))  # the root's; inner after it
+    walked = {s[0] for s in inner}  # a pattern with another letter is never met, but at the leading E
+    pats = tuple(p for p in every if walked.issuperset(p))
+    augs = tuple(p for p in every_aug if walked.issuperset(p[1:]) and p[0] in walked | {"E"})
+    ends = pats + tuple({"N", "E"} - walked)  # a forced tail's: it dies on a letter never stepped
     stack = [("E", 0, 0)]
     while stack:
         a2, x, y = stack.pop()
         if x == n or y == m:
             c, end = ("N", len(a2) + m - y) if x == n else ("E", len(a2) + n - x)
-            if not (pats or augs):
+            if not (ends or augs):
                 a2 += c * (end - len(a2))
             while len(a2) < end:
                 a2 += c
-                if (pats and a2.endswith(pats, 1)) or (augs and a2.endswith(augs)):
+                if (ends and a2.endswith(ends, 1)) or (augs and a2.endswith(augs)):
                     break
             else:
                 word = a2[1:]

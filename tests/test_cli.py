@@ -288,9 +288,9 @@ def test_walk_charge_stops_at_what_the_earlier_routes_left(capsys, monkeypatch):
     totals, state_columns = [], counting_module._state_columns
 
     def counted(spec, automaton):
-        for col in state_columns(spec, automaton):
+        for col, total in state_columns(spec, automaton):
             totals.append(sum(map(sum, filter(None, col))))
-            yield col
+            yield col, total
 
     monkeypatch.setattr(counting_module, "_state_columns", counted)
     code, out, err = run(capsys, "count", "a", "1190", "1190", "--method", "all")

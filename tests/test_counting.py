@@ -28,7 +28,7 @@ from delannoy import (
     schroeder_count,
     schroeder_rect_count,
 )
-from delannoy.counting import _check_expansion, spec_counts
+from delannoy.counting import _check_expansion, family_spec, spec_counts
 from delannoy.errors import ConsistencyError
 
 from conftest import naive_contains
@@ -441,6 +441,11 @@ def test_expand_bivariate_matches_the_naive_recurrence(numerator, order):
 @example(2, 6, frozenset({"NNN"}), frozenset(), 2, "N", "N")
 # a dead start state: every column is zero, in a region and under step filters too
 @example(3, 4, frozenset(), frozenset({"E"}), 1, "N", "N")
+# h inside y >= 2x, whose D move into its empty state reads column x - 1's accepting sum;
+# that move comes from a state that does not accept under a last step D or an augmented DN
+@example(3, 6, frozenset({"NE", "EN"}), frozenset(), 2, None, None)
+@example(4, 4, frozenset({"NE", "EN"}), frozenset(), None, None, "D")
+@example(4, 4, frozenset({"NE", "EN"}), frozenset({"DN"}), None, None, None)
 def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, first, last):
     """Random specs: the compiled DP's count at every corner equals the walk's."""
     spec = PathFamilySpec(
@@ -457,6 +462,18 @@ def test_spec_counts_match_bruteforce(n, m, forbidden, forbidden_aug, region_k, 
         for y, value in enumerate(column):
             corner = PathFamilySpec((x, y), forbidden, forbidden_aug, region_k, first, last)
             assert value == count_bruteforce(corner), (x, y)
+
+
+def test_only_a_letter_from_exactly_the_accepting_states_reads_their_sum():
+    """h's D move into its empty state, 0, comes from all three of its states, each
+    accepting: that pair alone reads column x - 1's accepting sum.  b has no such
+    letter, nor has h under a last-step filter or an augmented pattern ending in N,
+    where a state the move comes from does not accept."""
+    def pairs(family, **fields):
+        return counting_module._reads_accepted(counting_module._automaton(family_spec(family, 3, 3, **fields)))
+
+    assert pairs("h") == [(0, "D")]
+    assert pairs("b") == pairs("h", last_step="D") == pairs("h", forbidden_aug={"DN"}) == []
 
 
 @settings(deadline=None, max_examples=300)

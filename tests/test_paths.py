@@ -262,6 +262,13 @@ def test_enumerate_matches_naive_generation(n, m):
 @example(2, 3, frozenset(), frozenset({"N"}), None, None, None)
 @example(3, 2, frozenset(), frozenset({"E"}), None, None, None)
 @example(2, 2, frozenset({"N"}), frozenset(), None, "N", None)
+# Patterns holding a letter never stepped, which the walk drops: ND beside a
+# forbidden D, EDN beside an augmented D, and EN beside a forbidden E, met only
+# at the leading E; a forbidden N that each forced tail up the last column dies on.
+@example(3, 3, frozenset({"D", "ND"}), frozenset(), None, None, None)
+@example(3, 3, frozenset(), frozenset({"D", "EDN"}), None, None, None)
+@example(1, 2, frozenset({"E"}), frozenset({"EN"}), None, None, None)
+@example(2, 2, frozenset({"N"}), frozenset(), None, None, None)
 # Edges of the forced tail, walked in place on the last column or the top row:
 # a root on an axis under a first-step filter, a forbidden factor inside the
 # tail, an augmented pattern across the tail and the closing N, a last-step

@@ -68,8 +68,15 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      ("tests/test_series.py::test_radical_check_truncates_the_triple_to_the_order",)),
     ("k1-recurrence-entry", SERIES, "1: ((1, -1), (0, 0), (2, 4),", "1: ((1, -1), (0, 0), (2, 5),",
      ("tests/test_series.py::test_slope1_recurrence_holds_at_every_n",)),
-    ("walk-drops-pattern-initials", PATHS, "s[0] not in spec.forbidden | spec.forbidden_aug",
-     "all(p[0] != s[0] for p in spec.forbidden | spec.forbidden_aug)", WALKER),
+    ("walk-drops-pattern-initials", PATHS, "s[0] not in every | every_aug",
+     "all(p[0] != s[0] for p in every | every_aug)", WALKER),
+    ("walk-drops-leading-e-patterns", PATHS, 'p[0] in walked | {"E"})', "p[0] in walked)", WALKER),
+    ("walk-tail-steps-a-forbidden-letter", PATHS, 'ends = pats + tuple({"N", "E"} - walked)', "ends = pats",
+     WALKER),
+    ("shared-sum-unshifted", COUNTING, 'into[t] = [(None, c)] +', 'into[t] = [(None, "E")] +',
+     ("tests/test_counting.py",)),
+    ("shared-sum-from-a-subset", COUNTING, "if sources == accepting]", "if sources <= accepting]",
+     ("tests/test_counting.py",)),
     ("walk-filters-only-first-step", PATHS, "kept = not (first or last) or", "kept = not first or", WALKER),
     ("walked-path-start", PATHS, "_set_start(path, (0, 0))", "_set_start(path, (0, 1))",
      ("tests/test_paths.py::test_walked_paths_are_the_checked_paths",)),
