@@ -7,15 +7,17 @@ a family's spec (``spec_counts``), and brute-force enumeration, which the tests 
 division is a checked integer division (``_exact``); no floats or fractions anywhere.
 A closed-form sum computes one binomial for its first term and steps to each next
 term by the exact term ratio (``_term_walk``), so every step is a checked division.
+The last checked h table and b table are kept (``_KEPT``): a corner inside one is
+answered by slicing it, with no DP and no check run again.
 """
 
 from __future__ import annotations
 
 import math
 from functools import partial, reduce
-from itertools import accumulate
-from operator import add, sub
-from typing import Iterable, Iterator, Mapping
+from itertools import accumulate, zip_longest
+from operator import add, ne, sub
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ConsistencyError, agree
 from .paths import _DISPLACEMENT, PathFamilySpec, _as_slope, _check_corner, _Record
@@ -66,7 +68,7 @@ def delannoy_count(n: int, m: int) -> int:
 class CountTable(_Record):
     """A rectangle of counts: columns[x][y] is corner (x, y); negative corners count 0."""
 
-    __slots__ = ("kind", "columns")  # "h" or "b"; the columns, each a sequence of counts
+    __slots__ = ("kind", "columns")  # "h" or "b"; a tuple of columns, each a tuple of counts
 
     def __getitem__(self, key: tuple[int, int]) -> int:
         n, m = key
@@ -234,14 +236,18 @@ def _expansion(numerator: Mapping[tuple[int, int], int], n: int, m: int) -> Iter
         yield back1
 
 
-def _check_expansion(kind: str, columns: Iterable[list[int]], numerator: Mapping,
-                     nmax: int, mmax: int) -> Iterator[list[int]]:
+def _check_expansion(kind: str, columns: Iterable[Sequence[int]], numerator: Mapping,
+                     nmax: int, mmax: int) -> Iterator[Sequence[int]]:
     """Pass on columns x = 0..nmax, each checked as it arrives against numerator /
-    (1 - x - y + x^2 y^2): a wrong cell raises before the next column is asked for."""
-    for x, (got, want) in enumerate(zip(columns, _expansion(numerator, nmax, mmax), strict=True)):
-        if got != want:  # name the first wrong cell up the column
-            y = next(y for y, (a, b) in enumerate(zip(got, want)) if a != b)
-            raise ConsistencyError(f"{kind} recurrence failed at ({x}, {y})")
+    (1 - x - y + x^2 y^2): the first wrong, missing or extra cell up the column raises
+    before the next column is asked for.  Cells compare by value, whatever the sequence."""
+    for x, (got, want) in enumerate(zip_longest(columns, _expansion(numerator, nmax, mmax), fillvalue=())):
+        if x > nmax or len(got) != len(want) or any(map(ne, got, want)):
+            short = min(len(got), len(want))
+            y = next((y for y, (a, b) in enumerate(zip(got, want)) if a != b), short)
+            fault = ("recurrence failed at" if y < short else
+                     "table lacks cell" if len(got) < len(want) else "table has an extra cell")
+            raise ConsistencyError(f"{kind} {fault} ({x}, {y})")
         yield got
 
 
@@ -252,9 +258,34 @@ def table_columns(kind: str, nmax: int, mmax: int) -> Iterator[list[int]]:
     return _check_expansion(kind, spec_counts(family_spec(kind, nmax, mmax)), numerator, nmax, mmax)
 
 
+# kind -> the last table whose every cell passed its check, as ``_checked_table`` keeps it
+_KEPT: dict[str, CountTable] = {}
+
+
+def _checked_table(kind: str, nmax: int, mmax: int) -> CountTable:
+    """The h or b table of ``table_columns``.  A corner inside the kept table of its kind is
+    sliced from it, and is checked already: ``spec_counts`` and ``_expansion`` give each cell
+    the same value whatever the target.  Any other corner is built at exactly its extent, and
+    kept only once its last column passed.  Before that build, the kept table of its kind is
+    dropped, and so is the other kind's if it has at most twice the new table's cells."""
+    n, m = family_spec(kind, nmax, mmax).target  # refused, hit or miss, as a build refuses it
+    kept = _KEPT.get(kind)
+    if kept is not None and len(kept.columns) > n and len(kept.columns[0]) > m:
+        if (len(kept.columns), len(kept.columns[0])) == (n + 1, m + 1):
+            return kept
+        return CountTable(kind, tuple(col[: m + 1] for col in kept.columns[: n + 1]))
+    del kept  # no local holds a dropped table while the new one is built
+    _KEPT.pop(kind, None)
+    if any(len(t.columns) * len(t.columns[0]) <= 2 * (n + 1) * (m + 1) for t in _KEPT.values()):
+        _KEPT.clear()  # the other kind's table
+    table = _KEPT[kind] = CountTable(kind, tuple(map(tuple, table_columns(kind, n, m))))
+    return table
+
+
 def h_table(nmax: int, mmax: int) -> CountTable:
-    """Counts of paths avoiding the factors NE and EN, for all corners in range."""
-    return CountTable("h", list(table_columns("h", nmax, mmax)))
+    """Counts of paths avoiding the factors NE and EN, for all corners in range, checked;
+    a slice of the kept h table where that holds the corner (``_checked_table``)."""
+    return _checked_table("h", nmax, mmax)
 
 
 def h_dp(n: int, m: int) -> int:
@@ -272,8 +303,9 @@ def h_closed(n: int, m: int) -> int:
 
 
 def b_table(nmax: int, mmax: int) -> CountTable:
-    """Counts of North-East words (no D step) avoiding the factor EENN."""
-    return CountTable("b", list(table_columns("b", nmax, mmax)))
+    """Counts of North-East words (no D step) avoiding the factor EENN, for all corners in
+    range, checked; a slice of the kept b table where that holds the corner (``_checked_table``)."""
+    return _checked_table("b", nmax, mmax)
 
 
 def b_dp(n: int, m: int) -> int:

@@ -11,6 +11,7 @@ import re
 import pytest
 from hypothesis import settings
 
+import delannoy.counting as counting_module
 import delannoy.series as series_module
 
 # HYPOTHESIS_PROFILE=ci draws ten times the default examples for every property
@@ -21,11 +22,14 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 @pytest.fixture(autouse=True)
 def _fresh_series_solves():
-    """Each test starts and ends with no checked triple kept, so a test that perturbs a
-    series route sees a fresh solve, not a triple an earlier test stored."""
+    """Each test starts and ends with no checked triple and no checked table kept, so a test
+    that perturbs a series or counting route sees a fresh solve or build, not what an earlier
+    test stored."""
     series_module._CHECKED.clear()
+    counting_module._KEPT.clear()
     yield
     series_module._CHECKED.clear()
+    counting_module._KEPT.clear()
 
 
 _DISP = {"N": (0, 1), "E": (1, 0), "D": (1, 1)}

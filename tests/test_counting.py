@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -119,8 +120,8 @@ _NUMERATORS = {"h": {(0, 0): 1, (1, 1): -1}, "b": {(0, 0): 1}}
 def test_three_term_check_names_a_corrupted_cell(cell):
     """One wrong cell, on an edge (x = 0 or y = 0), at the origin or inside, is the first failure."""
     kind, x, y = cell
-    columns = (h_table if kind == "h" else b_table)(8, 8).columns
-    columns[x][y] += 1
+    columns = [list(column) for column in (h_table if kind == "h" else b_table)(8, 8).columns]
+    columns[x][y] += 1  # a corrupted copy: the table's own columns are tuples, and may be kept
     with pytest.raises(ConsistencyError, match=rf"{kind} recurrence failed at \({x}, {y}\)$"):
         list(_check_expansion(kind, columns, _NUMERATORS[kind], 8, 8))
 
@@ -159,6 +160,148 @@ def test_tables_stop_at_the_first_wrong_column(monkeypatch):
     with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(2, 3\)$"):
         h_table(6, 6)
     assert asked == [1, 2]
+
+
+# (kind, how spec_counts' columns are misshapen, the message): a column too short or too
+# long, a column missing or extra; an extra column is refused even when it holds no cell
+_SHAPES = {
+    "short-column": ("h", lambda cols: [c[:-1] if x == 2 else c for x, c in enumerate(cols)],
+                     r"h table lacks cell \(2, 6\)$"),
+    "long-column": ("b", lambda cols: [c + [0] if x == 2 else c for x, c in enumerate(cols)],
+                    r"b table has an extra cell \(2, 7\)$"),
+    "missing-column": ("h", lambda cols: cols[:-1], r"h table lacks cell \(6, 0\)$"),
+    "extra-column": ("b", lambda cols: [*cols, [1]], r"b table has an extra cell \(7, 0\)$"),
+    "extra-empty-column": ("h", lambda cols: [*cols, []], r"h table has an extra cell \(7, 0\)$"),
+}
+
+
+@pytest.mark.parametrize("kind,misshape,message", _SHAPES.values(), ids=_SHAPES)
+def test_tables_name_a_missing_or_extra_cell(monkeypatch, kind, misshape, message):
+    """A DP column of the wrong length, or a wrong number of columns, raises ConsistencyError
+    naming its first missing or extra cell, not a bare StopIteration or zip's ValueError."""
+    real = counting_module.spec_counts
+    monkeypatch.setattr(counting_module, "spec_counts", lambda spec: iter(misshape(list(real(spec)))))
+    with pytest.raises(ConsistencyError, match=message):
+        (h_table if kind == "h" else b_table)(6, 6)
+    assert kind not in counting_module._KEPT
+
+
+def _fresh_table(kind: str, n: int, m: int) -> CountTable:
+    """The table built and checked at exactly (n, m), past every kept table."""
+    return CountTable(kind, tuple(map(tuple, counting_module.table_columns(kind, n, m))))
+
+
+def _assert_kept_tables_sound() -> None:
+    """Each kept table is a fresh build of its extent, and two kept tables differ in size
+    by more than a factor of two."""
+    kept = counting_module._KEPT
+    for kind, table in kept.items():
+        assert table.kind == kind
+        assert table == _fresh_table(kind, len(table.columns) - 1, len(table.columns[0]) - 1)
+    if len(kept) == 2:
+        small, large = sorted(len(t.columns) * len(t.columns[0]) for t in kept.values())
+        assert large > 2 * small
+
+
+_REQUESTS = st.lists(st.tuples(st.sampled_from(["h_table", "b_table", "h_dp", "b_dp", "a_count"]),
+                               st.integers(0, 40), st.integers(0, 40)), min_size=1, max_size=6)
+
+
+@settings(deadline=None)
+@given(_REQUESTS)
+@example([("h_table", 40, 5), ("h_table", 5, 40), ("h_dp", 40, 5)])  # each built at its own extent
+@example([("h_table", 30, 30), ("b_dp", 3, 3), ("a_count", 30, 29)])  # a b corner inside the h table
+def test_kept_tables_answer_as_fresh_builds(requests):
+    """Any sequence of table and point requests, hits and misses mixed, answers each as a
+    fresh build at its own corner would; returned tables hold tuples of ints."""
+    counting_module._KEPT.clear()
+    for name, n, m in requests:
+        answer = getattr(counting_module, name)(n, m)
+        kind = "b" if name[0] == "b" else "h"  # a(n, m) = h(n, m)
+        fresh = _fresh_table(kind, n, m)
+        if name.endswith("_table"):
+            assert answer == fresh
+            assert type(answer.columns) is tuple and len(answer.columns) == n + 1
+            assert all(type(col) is tuple and len(col) == m + 1 for col in answer.columns)
+            assert all(type(count) is int for col in answer.columns for count in col)
+        else:
+            assert answer == fresh[n, m]
+        _assert_kept_tables_sound()
+
+
+def test_a_corner_inside_the_kept_table_runs_no_dp(monkeypatch):
+    """The exact extent returns the kept table itself; a smaller corner its slice."""
+    corners = ((0, 0), (12, 0), (0, 9), (5, 9), (12, 8), (7, 3))
+    fresh = {corner: _fresh_table("h", *corner) for corner in corners}
+    table = h_table(12, 9)
+
+    def dp(spec):
+        raise AssertionError(f"the DP ran for {spec.target}")
+
+    monkeypatch.setattr(counting_module, "spec_counts", dp)
+    assert h_table(12, 9) is table
+    for corner in corners:
+        assert h_table(*corner) == fresh[corner]
+        assert h_dp(*corner) == table[corner]
+    with pytest.raises(AssertionError, match=r"\(3, 3\)"):  # b's corner inside h's table is b's miss
+        b_table(3, 3)
+    with pytest.raises(ValueError, match="nonnegative"):  # refused as a build refuses it
+        h_table(-1, 3)
+
+
+def test_a_raising_check_keeps_nothing_for_its_kind(monkeypatch):
+    """A check that raises drops the kept table of its kind and keeps nothing in its place;
+    the other kind's larger table stays."""
+    b = b_table(30, 30)
+    h_table(10, 10)  # 121 cells: b's 961 are more than twice as many
+    real = counting_module.spec_counts
+
+    def corrupted(spec):
+        for x, column in enumerate(real(spec)):
+            yield [c + (x == 11) for c in column]
+
+    monkeypatch.setattr(counting_module, "spec_counts", corrupted)
+    with pytest.raises(ConsistencyError, match=r"h recurrence failed at \(11, 0\)$"):
+        h_table(12, 12)
+    assert counting_module._KEPT == {"b": b}
+    monkeypatch.undo()
+    assert h_table(5, 5) == _fresh_table("h", 5, 5)
+
+
+def test_two_tables_of_similar_size_are_never_kept_at_once():
+    """A build drops the other kind's table if that has at most twice its cells."""
+    kept = counting_module._KEPT
+    h_table(20, 20)  # 441 cells
+    b_table(20, 20)
+    assert list(kept) == ["b"]
+    h_table(10, 40)  # 451 cells drop b's 441
+    assert list(kept) == ["h"]
+    b_table(14, 14)  # 2 * 225 = 450 < 451: h stays
+    assert sorted(kept) == ["b", "h"]
+    b_table(14, 15)  # 2 * 240 = 480 >= 451: h goes
+    assert list(kept) == ["b"]
+    h_table(9, 9)  # 100 cells: b's 240 stay
+    assert sorted(kept) == ["b", "h"]
+    b_table(1, 24)  # outside b's (14, 15); 2 * 50 = 100: exactly twice, so h goes
+    assert list(kept) == ["b"]
+    _assert_kept_tables_sound()
+
+
+@pytest.mark.parametrize("first", ["h", "b"])
+def test_a_build_never_holds_the_table_it_drops(first):
+    """The kept table a miss drops, of its own kind or the other's, is freed before the build
+    starts: the build's peak stays near one table, not two."""
+    tracemalloc.start()
+    try:
+        (h_table if first == "h" else b_table)(80, 79)
+        one = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        h_table(80, 80)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(counting_module._KEPT) == ["h"]
+    assert peak < 1.5 * one
 
 
 def test_b_values():

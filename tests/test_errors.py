@@ -100,10 +100,11 @@ def _bump_walk(label):
 
 
 def _bump_corner(honest):
-    def table(n, m):  # b(n, m) one higher, b(n-1, m-1) as it was
+    def table(n, m):  # a copy with b(n, m) one higher, b(n-1, m-1) as it was; the kept table stays
         bt = honest(n, m)
-        bt.columns[n][m] += 1
-        return bt
+        columns = [list(column) for column in bt.columns]
+        columns[n][m] += 1
+        return counting_module.CountTable(bt.kind, columns)
 
     return table
 

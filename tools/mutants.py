@@ -33,6 +33,7 @@ CLI = "src/delannoy/cli.py"
 RADICAL = ("tests/test_series.py", "-k", "radical")
 CHECK = ("tests/test_series.py", "-k", "golden or non_fixed_point or product")
 WALKER = ("tests/test_paths.py", "-k", "walker_matches")
+KEPT_TABLES = ("tests/test_counting.py", "-k", "kept or keeps or drops")
 FIRST_ROUTE = "(lambda what, routes, *index: [*routes.values()][0])("  # agree, less its comparison
 
 
@@ -80,6 +81,17 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
     ("walk-filters-only-first-step", PATHS, "kept = not (first or last) or", "kept = not first or", WALKER),
     ("walked-path-start", PATHS, "_set_start(path, (0, 0))", "_set_start(path, (0, 1))",
      ("tests/test_paths.py::test_walked_paths_are_the_checked_paths",)),
+    ("kept-table-slice-one-short", COUNTING, "col[: m + 1] for col in kept.columns",
+     "col[: m] for col in kept.columns", KEPT_TABLES),
+    ("kept-table-hit-ignores-kind", COUNTING, "kept = _KEPT.get(kind)", "kept = next(iter(_KEPT.values()), None)",
+     KEPT_TABLES),
+    ("table-kept-before-its-check", COUNTING,
+     "table = _KEPT[kind] = CountTable(kind, tuple(map(tuple, table_columns(kind, n, m))))",
+     "table = _KEPT[kind] = CountTable(kind, columns := [])\n    columns += map(tuple, table_columns(kind, n, m))",
+     KEPT_TABLES),
+    ("kept-tables-memory-rule-inverted", COUNTING, "len(t.columns[0]) <= 2 * (n + 1)",
+     "len(t.columns[0]) > 2 * (n + 1)", KEPT_TABLES),
+    ("dropped-table-held-during-build", COUNTING, "    del kept  #", "    pass  #", KEPT_TABLES),
     _agree(CLI, 'f"count {family}', "cli-count"),
     _agree(CLI, 'f"closed form for k=', "cli-series"),
     _agree(CLI, 'f"conjecture {args.which}"', "cli-conjecture"),
