@@ -11,15 +11,14 @@ whose right-hand side at x^n reads only lower coefficients of FD.  Being
 algebraic, G = 1 + FD has coefficients that satisfy a linear recurrence with
 polynomial coefficients (Stanley, EC2 6.4); for k = 1, 2, 3 that P-recurrence
 is tabled here and solves G in O(N), one exact division per coefficient.  Its
-first coefficients, and every coefficient from k = 4 on, come from the equation
-itself, each distinct power of G kept once by J.C.P. Miller's recurrence
-(Knuth, TAOCP 2, 4.7).  Either solve is substituted once into the equation as
-the independent check, factored as FD = x G^(k-1) F: its factor F = G^2 - x G^k
-is the full series, and FE = F - G.  The check multiplies G's coefficient list
-by one product kernel, k products in all, one of them the square, which takes
-each cross term once; multiplying by x is a shift.  The k = 1 radical form is
-checked by the differential equation of its root, in O(N).  Integer arithmetic
-throughout; square roots are never taken.
+first coefficients, and every coefficient from k = 4 on, are each one term walk
+of G's Lagrange-inversion sum (Stanley, EC2 5.4).  Either solve is substituted
+once into the equation as the independent check, factored as FD = x G^(k-1) F:
+its factor F = G^2 - x G^k is the full series, and FE = F - G.  The check
+multiplies G's coefficient list by one product kernel, k products in all, one
+of them the square, which takes each cross term once; multiplying by x is a
+shift.  The k = 1 radical form is checked by the differential equation of its
+root, in O(N).  Integer arithmetic throughout; square roots are never taken.
 A checked triple is kept per slope, so a later call at that order or below is
 answered from it without a second solve.
 """
@@ -54,17 +53,22 @@ def _product(a: list[int], b: list[int]) -> list[int]:
     return out
 
 
-def _miller_next(g: list[int], p: list[int], a: int) -> int:
-    """Next coefficient of P = G^a (g[0] = 1): m p_m = sum_j ((a+1) j - m) g_j p_(m-j)."""
-    m = len(p)
-    total = sum(((a + 1) * j - m) * g[j] * p[m - j] for j in range(1, m + 1))
-    return _exact(total, m, "coefficient {} of (1+FD)^{}", m, a)
+def _lagrange(k: int, n: int) -> int:
+    """[x^n]G = (1/a) sum_(s <= n/2) (-1)^s a C(a-s-1, s)/(a-2s) C(c-3s, n-2s), a = kn+1, c = (k+1)n.
+    With z = x G^k the fixed point is (1-z) G^2 - G + z^2 = 0, so G = Phi(z) = alpha/(1-z), where
+    alpha^2 - alpha + z^2 (1-z) = 0; Lagrange inversion of z = x Phi(z)^k gives [z^n]Phi^a / a, and
+    Lucas' expansion of alpha^a gives the sum, as the conjugate root's a-th power starts at z^(2a)."""
+    a, c, what = k * n + 1, (k + 1) * n, f"coefficient {n} of 1+FD for k={k}"
+    total = _term_walk(binomial(c, n), n // 2, lambda s: (
+        -(a - 2 * s - 1) * (a - 2 * s) * (n - 2 * s) * (n - 2 * s - 1) * (c - n - s),
+        (s + 1) * (a - s - 1) * (c - 3 * s) * (c - 3 * s - 1) * (c - 3 * s - 2)), what)
+    return _exact(total, a, what)
 
 
 # P-recurrences of G = 1 + FD: sum_(i=0..r) P_i(n) g_(n+i) = 0 for every n >= 0, each P_i listed
-# from its top coefficient in n down.  Each is the one-dimensional nullspace of a linear fit to the
-# first 200 coefficients, so it is evidence, not proof: the substitution check still runs on every
-# solve.  Every P_r has positive coefficients only, so it has no root at n >= 0.
+# from its top coefficient in n down, each fitted to G's first 200 coefficients.  Each is proved for
+# every n by a degree bound D = 16, 61, 261 (tests/helpers.py, recurrence_bound): a solve that passes
+# its substitution check to order D.  Every P_r has positive coefficients only, so no root at n >= 0.
 _RECURRENCES = {
     1: ((1, -1), (0, 0), (2, 4), (-4, -14), (1, 5)),
     2: ((-27, -135, -186, -72), (54, 324, 618, 384), (-31, -221, -522, -408), (4, 34, 94, 84)),
@@ -114,12 +118,11 @@ _SLOPES_KEPT = 4
 
 
 def assemble_triple(k: int, order: int) -> SeriesTriple:
-    """(F, FD, FE): FD solved online, checked once, and F and FE read off the check.
+    """(F, FD, FE): FD solved, checked once, and F and FE read off the check.
 
     For k <= 3, G = 1 + FD takes one step of its P-recurrence per coefficient past the
-    first r, O(order) in all. Those r, and from k = 4 on every coefficient, are
-    [x^n]FD = [x^(n-1)]G^(k+1) - [x^(n-2)]G^(2k-1), each distinct power by one Miller
-    recurrence (G^(2k-1) is G at k = 1 and G^(k+1) at k = 2), O(order^2). The check
+    first r, O(order) in all. Those r, and from k = 4 on every coefficient, are each
+    G's Lagrange-inversion sum, O(n) big-integer steps at x^n (``_lagrange``). The check
     FD = x G^(k-1) F forms F = G^2 - x G^k on coefficient lists, each power of G once: one
     square and k - 1 further products (none at k = 1), each x a shift. FE = F - G.
 
@@ -139,13 +142,7 @@ def assemble_triple(k: int, order: int) -> SeriesTriple:
         return SeriesTriple(k, *(s[: order + 1] for s in (kept.f, kept.fd, kept.fe)))
     polys = _RECURRENCES.get(k)
     start = len(polys) - 1 if polys else order + 1  # the first coefficient the recurrence takes
-    g, p = [1], [1]  # G, G^(k+1)
-    q = g if k == 1 else p if k == 2 else [1]  # G^(2k-1), its own recurrence from k = 3
-    for n in range(1, min(start, order + 1)):
-        g.append(p[n - 1] - (q[n - 2] if n > 1 else 0))
-        p.append(_miller_next(g, p, k + 1))
-        if k > 2:
-            q.append(_miller_next(g, q, 2 * k - 1))
+    g = [_lagrange(k, n) for n in range(min(start, order + 1))]
     for _ in range(start, order + 1):
         g.append(_recurrence_next(polys, g))
     square = _product(g, g)

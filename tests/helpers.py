@@ -1,7 +1,8 @@
 """Helpers that only the tests use: the step alphabet as an enum, factor
 containment, the augment/diminish pair on paths, the trinomial and Catalan
 numbers, inversion sequences with their 102 test, the plain convolution of two
-coefficient lists, and the k=1 radical check by squaring.  The library itself
+coefficient lists, the k=1 radical check by squaring, and the degree bound that
+turns a checked prefix into a proof of a P-recurrence.  The library itself
 works on plain step words, counts inversion sequences without listing them,
 multiplies series by its own product kernel and checks the radical form by its
 differential equation, so these live here."""
@@ -126,3 +127,21 @@ def radical_check_by_squaring(order: int, triple: SeriesTriple) -> RadicalCheck:
         return RadicalCheck(True, None)
     return RadicalCheck(False, next(
         i for i in range(order + 1) if any(left[i] != right[i] for left, right in pairs)))
+
+
+def recurrence_bound(a: int, b: int, r: int, d: int) -> int:
+    """An order D such that a P-recurrence of order r and degree d in n holds for every n once it
+    holds at n <= D - r, for the power-series root G of P(x, Y) with deg_x P = a, deg_Y P = b, a
+    nonzero leading Y-coefficient and P_Y(0, G(0)) != 0.
+
+    The residual H = sum_n e_n x^(n+r), e_n = sum_i P_i(n) g_(n+i), is L G - C(x), with
+    L = sum_i x^(r-i) P_i(theta - i), theta = x d/dx, and C a polynomial of degree below r.
+    Differentiating P(x, G) = 0 gives theta^j G = A_j(x, G) / P_Y^(2j-1), with deg_x A_j <= a(2j-1)
+    and deg_Y A_j <= b + (2b-2)(j-1).  So N = P_Y^(2d-1) H is a polynomial in x and G, with
+    deg_x N <= r + a(2d-1) and deg_Y N <= b + (2b-2)(d-1).  Res_Y(P, Z - N(x, Y)) annihilates
+    N(x, G); its x-degree is at most D = b deg_x N + a deg_Y N, and a nonzero root of it has
+    valuation at most the x-degree of its lowest nonzero coefficient, so at most D.  P_Y(x, G) is
+    a unit, so H has N's valuation: e_n = 0 for every n <= D - r forces H = 0, and then the
+    recurrence holds at every n (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 6).
+    """
+    return b * (r + a * (2 * d - 1)) + a * (b + (2 * b - 2) * (d - 1))

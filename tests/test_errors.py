@@ -162,8 +162,9 @@ EXACT_SITES = {
                                 "schroeder_rect_count(1, 1, k=1) form 1 term 0 is not an integer: remainder 1 mod 2"),
     "schroeder-form-2": (counting_module, "_term_walk", _bump_walk("form 2"), lambda: schroeder_rect_count(2, 2, 1),
                          "schroeder_rect_count(2, 2, k=1) form 2 is not an integer: remainder 1 mod 2"),
-    "miller": (None, None, None, lambda: series_module._miller_next([1, 1, 1], [1, 1], 2),
-               "coefficient 2 of (1+FD)^2 is not an integer: remainder 1 mod 2"),  # 5 / 2
+    "lagrange": (series_module, "_term_walk", lambda honest: lambda *args: honest(*args) + 1,
+                 lambda: series_module._lagrange(1, 1),
+                 "coefficient 1 of 1+FD for k=1 is not an integer: remainder 1 mod 2"),  # 3 / 2
     "recurrence": (None, None, None, lambda: series_module._recurrence_next(((1,), (2,)), [1]),
                    "coefficient 1 of 1+FD is not an integer: remainder 1 mod 2"),  # -1 / 2
     "closed-k2-F-term-0": (series_module, "binomial", lambda honest: lambda n, k: honest(n, k) + 1,

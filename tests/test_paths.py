@@ -150,6 +150,9 @@ def test_satisfies():
     assert not satisfies(parse_path("D"), step_spec)
     empty_spec = PathFamilySpec(target=(0, 0), last_step="E")
     assert not satisfies(parse_path(""), empty_spec)  # no last step to match
+    for k, kept in ((1, True), (2, False)):  # DN's vertex (1, 1) is in y >= x, not in y >= 2x
+        assert satisfies(parse_path("DN"), PathFamilySpec(target=(1, 2), region_k=k)) is kept
+    assert satisfies(parse_path("NNE"), PathFamilySpec(target=(1, 2), region_k=2))
 
 
 def test_spec_validation():

@@ -25,7 +25,7 @@ from delannoy import (
 )
 from delannoy.counting import family_spec, spec_counts
 
-from helpers import catalan, double_sum, radical_check_by_squaring
+from helpers import catalan, double_sum, radical_check_by_squaring, recurrence_bound
 
 # Leading coefficients of the three series for each slope, frozen from the
 # closed forms and cross-checked against brute-force path counts elsewhere.
@@ -328,45 +328,41 @@ def test_substitution_identity_for_k2():
 
 # Each perturbed solve stays integral and self-consistent, so only the substitution check can
 # catch it: for k <= 3 the P-recurrence's last step off by one; from k = 4 on, and at k = 3 below
-# its first recurrence step (order 5), a Miller step that keeps G^(power+1) where G^power belongs
-@pytest.mark.parametrize("k,power,order", [(1, None, 6), (2, None, 6), (3, None, 8), (3, 5, 4), (4, 5, 6),
-                                           (4, 7, 6)], ids=["1", "2", "3", "3-G^5", "4-G^5", "4-G^7"])
-def test_assemble_rejects_a_non_fixed_point(monkeypatch, k, power, order):
-    if power is None:
+# its first recurrence step (index 5), one Lagrange sum off by one, named at its own index
+@pytest.mark.parametrize("k,index,order", [(1, None, 6), (2, None, 6), (3, None, 8), (3, 2, 4), (4, 3, 6),
+                                           (4, 6, 6)], ids=["1", "2", "3", "3-lagrange", "4-lagrange",
+                                                            "4-lagrange-last"])
+def test_assemble_rejects_a_non_fixed_point(monkeypatch, k, index, order):
+    if index is None:
         honest_step = series_module._recurrence_next
         monkeypatch.setattr(series_module, "_recurrence_next",
                             lambda polys, g: honest_step(polys, g) + (len(g) == order))
+        index = order
     else:
-        honest_next = series_module._miller_next
-        monkeypatch.setattr(series_module, "_miller_next",
-                            lambda g, p, a: honest_next(g, p, a + (a == power)))
-    where = rf"x\^{order}:" if power is None else r"x\^"  # a wrong last coefficient is named
-    with pytest.raises(ConsistencyError, match=f"fixed point for k={k} not stable to order {order} at {where}"):
+        honest_sum = series_module._lagrange
+        monkeypatch.setattr(series_module, "_lagrange", lambda k, n: honest_sum(k, n) + (n == index))
+    with pytest.raises(ConsistencyError, match=rf"fixed point for k={k} not stable to order {order} at x\^{index}:"):
         series_module.assemble_triple(k, order)
 
 
-# the order r of each slope's P-recurrence: Miller's recurrence gives G's first r coefficients
+# the order r of each slope's P-recurrence: the Lagrange sum gives G's first r coefficients
 FIRST_STEP = {1: 4, 2: 3, 3: 5}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_each_distinct_power_is_solved_once(monkeypatch, k):
-    """G^(2k-1) is G at k = 1 and G^(k+1) at k = 2, so only from k = 3 on does
-    it take a Miller recurrence of its own.  For k <= 3 Miller's steps stop at
-    the P-recurrence's first, which then takes one step per coefficient."""
-    honest_next, honest_step = series_module._miller_next, series_module._recurrence_next
-    powers, steps = [], []
-    monkeypatch.setattr(
-        series_module, "_miller_next", lambda g, p, a: powers.append(a) or honest_next(g, p, a)
-    )
+    """Each power x^n of G is solved once, by one route: _lagrange answers indices 0..r-1 at
+    k <= 3 and 0..order from k = 4; _recurrence_next answers r..order."""
+    honest_sum, honest_step = series_module._lagrange, series_module._recurrence_next
+    sums, steps = [], []
+    monkeypatch.setattr(series_module, "_lagrange", lambda k, n: sums.append((k, n)) or honest_sum(k, n))
     monkeypatch.setattr(
         series_module, "_recurrence_next", lambda polys, g: steps.append(len(g)) or honest_step(polys, g)
     )
     order = 30
     series_module.assemble_triple(k, order)
     first = FIRST_STEP.get(k, order + 1)
-    assert len(powers) == (first - 1) * (1 if k <= 2 else 2)
-    assert set(powers) == ({k + 1} if k <= 2 else {k + 1, 2 * k - 1})
+    assert sums == [(k, n) for n in range(first)]
     assert steps == list(range(first, order + 1))
 
 
@@ -389,6 +385,13 @@ def _miller_g(k, order):
 @settings(deadline=None)
 def test_recurrence_solve_matches_miller(k, order):
     assert (1,) + solve_fd(k, order)[1:] == _miller_g(k, 200)[: order + 1]
+
+
+@given(st.integers(4, 8), st.integers(0, 100))
+@settings(deadline=None)
+def test_lagrange_solve_matches_miller(k, order):
+    """From k = 4 every coefficient is a Lagrange sum; the Miller oracle shares no step with it."""
+    assert (1,) + solve_fd(k, order)[1:] == _miller_g(k, 100)[: order + 1]
 
 
 def test_recurrence_solve_to_order_600():
@@ -445,6 +448,32 @@ def test_leading_polynomial_has_no_root_at_nonnegative_n(k):
     assert len(table) - 1 == FIRST_STEP[k]
     assert len({len(poly) for poly in table}) == 1  # one degree
     assert all(c > 0 for c in table[-1])
+
+
+def _fixed_point_polynomial(k):
+    """P(x, Y) = Y - 1 - x Y^(k+1) + x^2 Y^(2k-1), whose power-series root is G = 1 + FD, as
+    {j: [x^0, x^1, x^2 coefficients of Y^j]}."""
+    p = {}
+    for j, i, c in ((1, 0, 1), (0, 0, -1), (k + 1, 1, -1), (2 * k - 1, 2, 1)):
+        p.setdefault(j, [0, 0, 0])[i] += c
+    return p
+
+
+@pytest.mark.parametrize("k,bound", [(1, 16), (2, 61), (3, 261)])
+def test_recurrence_is_proved_by_its_degree_bound(k, bound):
+    """A proof of _RECURRENCES[k] for every n.  P's leading Y-coefficient is nonzero and
+    P_Y(0, 1) = 1, so recurrence_bound applies with a = 2 and b = deg_Y P = max(k + 1, 2k - 1).
+    A fresh solve to order D steps every coefficient from index r on by the recurrence, and its
+    substitution check finds each to be G's, so e_n = 0 for every n <= D - r."""
+    p = _fixed_point_polynomial(k)
+    a = max(i for xs in p.values() for i, c in enumerate(xs) if c)
+    b = max(j for j, xs in p.items() if any(xs))
+    assert (a, b) == (2, max(k + 1, 2 * k - 1))  # Y^b's coefficient is nonzero: -x + x^2 at k = 2
+    assert sum(j * xs[0] for j, xs in p.items()) == 1  # P_Y(0, 1)
+    table = series_module._RECURRENCES[k]
+    assert recurrence_bound(a, b, len(table) - 1, len(table[0]) - 1) == bound
+    series_module._CHECKED.clear()
+    assert len(assemble_triple(k, bound).fd) == bound + 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
@@ -616,9 +645,12 @@ def test_solve_fd_substitution_check_is_live(monkeypatch):
 
 
 def test_inexact_divisions_raise(monkeypatch):
-    # (1 + x + x^2)^2 starts 1, 2, 3; a stored prefix 1, 1 is not that power
-    with pytest.raises(ConsistencyError):
-        series_module._miller_next([1, 1, 1], [1, 1], 2)
+    # [x^1]G at k = 1 is the walk's 2 over a = 2; a walk one higher leaves a remainder
+    honest_walk = series_module._term_walk
+    monkeypatch.setattr(series_module, "_term_walk", lambda *args: honest_walk(*args) + 1)
+    with pytest.raises(ConsistencyError, match=r"coefficient 1 of 1\+FD for k=1 is not an integer"):
+        series_module._lagrange(1, 1)
+    monkeypatch.undo()
     # closed_k2(4)'s F walks 143, -120, 21, the last step -120 * -84 / 480; -119 leaves a remainder
     exact = counting_module._exact
 

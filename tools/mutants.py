@@ -69,6 +69,12 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
      ("tests/test_series.py::test_radical_check_truncates_the_triple_to_the_order",)),
     ("k1-recurrence-entry", SERIES, "1: ((1, -1), (0, 0), (2, 4),", "1: ((1, -1), (0, 0), (2, 5),",
      ("tests/test_series.py::test_slope1_recurrence_holds_at_every_n",)),
+    ("k3-recurrence-entry", SERIES, "3: ((849513723349869250000,", "3: ((849513723349869250001,",
+     ("tests/test_series.py::test_recurrence_is_proved_by_its_degree_bound[3-261]",)),
+    ("lagrange-ratio", SERIES, "* (c - n - s),", "* (c - n - s + 1),",
+     ("tests/test_series.py", "-k", "lagrange")),
+    ("satisfies-ignores-region", PATHS, "if spec.region_k is not None and not in_region(",
+     "if False and not in_region(", ("tests/test_paths.py::test_satisfies",)),
     ("walk-drops-pattern-initials", PATHS, "s[0] not in every | every_aug",
      "all(p[0] != s[0] for p in every | every_aug)", WALKER),
     ("walk-drops-leading-e-patterns", PATHS, 'p[0] in walked | {"E"})', "p[0] in walked)", WALKER),
@@ -106,7 +112,7 @@ MUTANTS: tuple[tuple[str, str, str, str, tuple[str, ...]], ...] = (
            "first = w * math.comb(m + n, n) // (m + 1)"),
     _floor("schroeder-form-2", COUNTING, 'forms["form 2"] = _exact(w * transform, n, f"{what} form 2")',
            'forms["form 2"] = w * transform // n'),
-    _floor("miller", SERIES, 'return _exact(total, m, "coefficient {} of (1+FD)^{}", m, a)', "return total // m"),
+    _floor("lagrange", SERIES, "return _exact(total, a, what)", "return total // a"),
     _floor("recurrence", SERIES,
            'return _exact(-sum(map(mul, values, g[n:])), values[-1], "coefficient {} of 1+FD", len(g))',
            "return -sum(map(mul, values, g[n:])) // values[-1]"),
